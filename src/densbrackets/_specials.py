@@ -6,7 +6,8 @@ across platforms, so they are implemented here from their defining series:
 * ``erf`` -- Maclaurin series for |x| <= 2, Laplace continued fraction for the
   complementary function elsewhere.  Absolute error <= 1e-14 on the real line.
 * ``besseli0`` / ``besseli1`` -- ascending power series with the summation cut
-  off once the term ratio drops below 1e-17.
+  off once the term ratio drops below 1e-17; arguments past the overflow
+  threshold (about |x| = 714) give +-inf.
 
 Each function has a scalar and an ndarray variant; the array variants are used
 by compiled expression evaluators and accept arbitrary shapes.
@@ -175,7 +176,9 @@ def _bessel_series_array(x: np.ndarray, order: int) -> np.ndarray:
             term = term * x2 / (k * (k + 1))
         total += term
         denom = np.maximum(np.abs(total), 1e-300)
-        if np.max(np.abs(term) / denom) <= _BESSEL_CUTOFF:
+        # An entry whose sum overflowed has ratio 0 (or NaN once its term
+        # overflows too) and counts as done, so it comes out as +-inf.
+        if not (np.abs(term) / denom > _BESSEL_CUTOFF).any():
             return total
         k += 1
         if k > 10000:

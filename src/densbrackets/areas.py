@@ -28,31 +28,28 @@ measure-zero set of removable points.  Quadrature nodes are interior and
 essentially never hit that set; if one does (an exact division by zero or an
 overflowing removable factor), the integrand evaluator maps the point to 0.
 Genuine domain violations - a surviving square root of a negative quantity,
-a logarithm of a non-positive value - abort with the offending node reported.
+a logarithm of a non-positive value - abort with the offending subexpression
+and all four coordinates of the point reported.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from functools import partial
 
 from .expressions import (
     BinOp,
     Call,
-    DomainError,
     Expr,
-    ExpressionError,
     Var,
     compile_expr,
     free_vars,
-    locate_domain_error,
     simplify,
     substitute,
     to_text,
 )
-from .geometry import SPHERE, GeometryError
+from .geometry import SPHERE, GeometryError, checked_integrand
 from .quadrature import QuadResult, QuadSpec, integrate_2d, integrate_4d
 
 __all__ = [
@@ -70,7 +67,8 @@ WEIGHT_MODES = ("measure", "literal")
 # Default cap on integrand evaluations for a 4-d run.
 DEFAULT_EVAL_BUDGET = 5_000_000_000
 
-_VARS = ("theta", "phi", "s", "t")
+# Driver order: outer (s, t), inner (phi, theta) with theta innermost.
+_VARS = ("s", "t", "phi", "theta")
 _THETA_BOX = SPHERE.box[0]
 _PHI_BOX = SPHERE.box[1]
 
@@ -120,11 +118,13 @@ class AreaProblem:
         t_lo, t_hi = self.t_interval
         if not (0.0 < s_lo < s_hi < math.pi):
             raise GeometryError(
-                f"parameter interval I1 = {self.s_interval!r} must lie inside (0, pi)"
+                f"parameter interval I1 = {self.s_interval!r} must satisfy "
+                "0 < lo < hi < pi"
             )
         if not (0.0 < t_lo < t_hi < 2.0 * math.pi):
             raise GeometryError(
-                f"parameter interval I2 = {self.t_interval!r} must lie inside (0, 2*pi)"
+                f"parameter interval I2 = {self.t_interval!r} must satisfy "
+                "0 < lo < hi < 2*pi"
             )
 
 
@@ -148,37 +148,11 @@ def _integrand_expr(problem: AreaProblem) -> Expr:
     return pulled
 
 
-def _policy_integrand(expr: Expr):
-    """Vectorised integrand over (phi, theta) at fixed (s, t).
-
-    Non-finite entries are resolved pointwise: removable hits become 0,
-    anything else raises with the node identified.
-    """
-    compiled = compile_expr(expr, _VARS)
-
-    def f(s: float, t: float, PHI, THETA):
-        out = np.asarray(compiled(THETA, PHI, s, t), dtype=float)
-        shape = np.broadcast_shapes(np.shape(PHI), np.shape(THETA))
-        out = np.broadcast_to(out, shape)
-        finite = np.isfinite(out)
-        if not np.all(finite):
-            out = out.copy()
-            Pb = np.broadcast_to(np.asarray(PHI, float), shape)
-            Tb = np.broadcast_to(np.asarray(THETA, float), shape)
-            for raw_idx in np.argwhere(~finite):
-                idx = tuple(raw_idx)
-                point = (float(Tb[idx]), float(Pb[idx]), s, t)
-                err = locate_domain_error(expr, _VARS, point)
-                if isinstance(err, DomainError) and err.kind in _REMOVABLE_KINDS:
-                    out[idx] = 0.0
-                else:
-                    raise ExpressionError(
-                        f"area integrand undefined at theta={point[0]!r}, "
-                        f"phi={point[1]!r}, s={s!r}, t={t!r}: {err}"
-                    ) from err
-        return out
-
-    return f
+def _area_integrand(problem: AreaProblem):
+    """The policed area integrand ``f(s, t, phi, theta)``, in driver order."""
+    expr = _integrand_expr(problem)
+    kernel = compile_expr(expr, _VARS)
+    return checked_integrand(kernel, expr, _VARS, _REMOVABLE_KINDS)
 
 
 def _default_spec(spec: QuadSpec | None) -> QuadSpec:
@@ -201,7 +175,7 @@ def area(problem: AreaProblem, spec: QuadSpec | None = None) -> QuadResult:
     """
     problem.validate()
     spec = _default_spec(spec)
-    f = _policy_integrand(_integrand_expr(problem))
+    f = _area_integrand(problem)
     result = integrate_4d(
         f,
         (problem.s_interval, problem.t_interval),
@@ -236,13 +210,11 @@ def inner_bracket(
             f"{problem.s_interval!r} x {problem.t_interval!r}"
         )
     spec = spec or QuadSpec()
-    f = _policy_integrand(_integrand_expr(problem))
-
-    def fixed(PHI, THETA):
-        return f(float(s), float(t), PHI, THETA)
-
     result = integrate_2d(
-        fixed, (_PHI_BOX, _THETA_BOX), spec, vectorized=True
+        partial(_area_integrand(problem), float(s), float(t)),
+        (_PHI_BOX, _THETA_BOX),
+        spec,
+        vectorized=True,
     )
     kappa = SPHERE.prefactor
     return QuadResult(

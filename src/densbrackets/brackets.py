@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 from .expressions import BinOp, Const, Expr, diff, simplify
 from .geometry import (
     Domain,
+    check_mass,
     compiled_integrand,
     density_mass,
-    NormalizationError,
     require_domain_vars,
 )
 from .quadrature import QuadSpec, integrate_2d
@@ -85,7 +85,7 @@ def build_integrand(problem: BracketProblem) -> Expr:
 
 def bracket(problem: BracketProblem, spec: QuadSpec | None = None) -> BracketResult:
     """Evaluate the bracket; raises :class:`NormalizationError` for densities
-    whose mass cannot be resolved or is non-positive."""
+    whose mass :func:`densbrackets.geometry.check_mass` rejects."""
     problem.validate()
     spec = spec or QuadSpec()
 
@@ -93,17 +93,10 @@ def bracket(problem: BracketProblem, spec: QuadSpec | None = None) -> BracketRes
     mass_evals = 0
     effective = problem
     if problem.auto_normalize:
-        mass = density_mass(problem.domain, problem.rho, spec)
+        mass = check_mass(
+            problem.rho, density_mass(problem.domain, problem.rho, spec)
+        )
         mass_evals = mass.n_evals
-        if not mass.converged:
-            raise NormalizationError(
-                "density mass integration did not converge; "
-                "pass auto_normalize=False to integrate the raw density"
-            )
-        if not mass.value > 0.0:
-            raise NormalizationError(
-                f"density mass {mass.value!r} is not positive"
-            )
         norm_const = mass.value
         effective = replace(
             problem, rho=simplify(BinOp("/", problem.rho, Const(mass.value)))

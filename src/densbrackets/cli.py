@@ -5,8 +5,9 @@ Every command writes exactly one JSON document to stdout (JSON lines for
 2 ran but did not converge (or, for ``table``, not all jobs passed).
 
 Numeric flags accept expressions without free variables, so ``--s-lo pi/4``
-works.  Expression flags use the library grammar verbatim; coordinates are
-spelled ``x, y`` (square), ``t1, t2`` (torus) and ``theta, phi`` (sphere).
+works; integer flags and keys must evaluate to a finite integer.  Expression
+flags use the library grammar verbatim; coordinates are spelled ``x, y``
+(square), ``t1, t2`` (torus) and ``theta, phi`` (sphere).
 
 Batch configs are INI-style files, one section per job, e.g.::
 
@@ -28,6 +29,23 @@ Area jobs take ``rho``, ``theta_map``, ``phi_map``, ``s_lo``, ``s_hi``,
 passes when it converged and, if ``expected`` is given,
 ``|value - expected| <= tol_abs + tol_rel * |expected|``.  All jobs are
 validated before any of them runs.
+
+The ``bracket`` and ``area`` commands are built as one-row jobs by the same
+builder, which reads these keys (default in parentheses):
+
+* every kind: ``kind``, ``expected``, ``tol_abs`` (0), ``tol_rel`` (0),
+  ``quad_abs_tol`` and ``quad_rel_tol`` (1e-10; 1e-7 for areas) and
+  ``quad_max_subdivisions`` (2000);
+* ``bracket``: ``domain``, ``tau`` (1), ``rho``, ``f``, ``h`` and
+  ``normalize`` (true);
+* ``mass`` and ``normalize``: ``domain`` and ``rho``;
+* ``area``: ``rho``, ``theta_map``, ``phi_map``, ``s_lo``, ``s_hi``,
+  ``t_lo``, ``t_hi``, ``weight_mode`` (measure) and ``quad_max_evals``
+  (the library's budget).
+
+The commands' ``--abs-tol``, ``--rel-tol``, ``--max-subdivisions`` and
+``--max-evals`` fill the ``quad_*`` keys, ``--no-normalize`` sets
+``normalize`` to false, and every other flag fills the key of its name.
 """
 
 from __future__ import annotations
@@ -78,6 +96,13 @@ def _parse_number(text: str, what: str) -> float:
         raise CliInputError(f"invalid number for {what}: {exc}") from exc
 
 
+def _parse_int(text: str, what: str) -> int:
+    value = _parse_number(text, what)
+    if not value.is_integer():  # also rejects inf and nan
+        raise CliInputError(f"{what} must be an integer, got {text!r}")
+    return int(value)
+
+
 def _emit(payload: dict[str, Any]) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
@@ -100,10 +125,11 @@ def _build_parser() -> _Parser:
     b.add_argument("--h", required=True, help="second function expression")
     b.add_argument("--abs-tol", default="1e-10")
     b.add_argument("--rel-tol", default="1e-10")
-    b.add_argument("--max-subdivisions", type=int, default=2000)
+    b.add_argument("--max-subdivisions", default="2000")
     b.add_argument(
         "--no-normalize",
-        action="store_true",
+        dest="normalize",
+        action="store_false",
         help="integrate the density as given instead of rescaling to mass 1",
     )
 
@@ -118,7 +144,7 @@ def _build_parser() -> _Parser:
     a.add_argument("--weight-mode", default="measure", choices=list(WEIGHT_MODES))
     a.add_argument("--abs-tol", default="1e-7")
     a.add_argument("--rel-tol", default="1e-7")
-    a.add_argument("--max-subdivisions", type=int, default=2000)
+    a.add_argument("--max-subdivisions", default="2000")
     a.add_argument("--max-evals", default=None)
 
     t = sub.add_parser("table", help="run a batch config, one JSON line per job")
@@ -127,76 +153,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def run_bracket(args: argparse.Namespace) -> int:
-    domain = domain_by_name(args.domain)
-    problem = BracketProblem(
-        domain=domain,
-        tau=_parse_expr(args.tau, "--tau"),
-        rho=_parse_expr(args.rho, "--rho"),
-        f=_parse_expr(args.f, "--f"),
-        h=_parse_expr(args.h, "--h"),
-        auto_normalize=not args.no_normalize,
-    )
-    spec = QuadSpec(
-        abs_tol=_parse_number(args.abs_tol, "--abs-tol"),
-        rel_tol=_parse_number(args.rel_tol, "--rel-tol"),
-        max_subdivisions=args.max_subdivisions,
-    )
-    result = bracket(problem, spec)
-    _emit(
-        {
-            "value": result.value,
-            "error_estimate": result.error_estimate,
-            "n_evals": result.n_evals,
-            "converged": result.converged,
-            "normalization_constant": result.normalization_constant,
-        }
-    )
-    return 0 if result.converged else 2
-
-
-def run_area(args: argparse.Namespace) -> int:
-    s_lo = _parse_number(args.s_lo, "--s-lo")
-    s_hi = _parse_number(args.s_hi, "--s-hi")
-    t_lo = _parse_number(args.t_lo, "--t-lo")
-    t_hi = _parse_number(args.t_hi, "--t-hi")
-    if not (s_lo < s_hi and t_lo < t_hi):
-        raise CliInputError("parameter intervals must satisfy lo < hi")
-    problem = AreaProblem(
-        rho=_parse_expr(args.rho, "--rho"),
-        flow=FlowMap(
-            theta_map=_parse_expr(args.theta_map, "--theta-map"),
-            phi_map=_parse_expr(args.phi_map, "--phi-map"),
-        ),
-        s_interval=(s_lo, s_hi),
-        t_interval=(t_lo, t_hi),
-        weight_mode=args.weight_mode,
-    )
-    max_evals = None
-    if args.max_evals is not None:
-        max_evals = int(_parse_number(args.max_evals, "--max-evals"))
-    spec = QuadSpec(
-        abs_tol=_parse_number(args.abs_tol, "--abs-tol"),
-        rel_tol=_parse_number(args.rel_tol, "--rel-tol"),
-        max_subdivisions=args.max_subdivisions,
-        max_evals=max_evals,
-    )
-    result = area(problem, spec)
-    _emit(
-        {
-            "area": result.value,
-            "error_estimate": result.error_estimate,
-            "weight_mode": problem.weight_mode,
-            "n_evals": result.n_evals,
-            "converged": result.converged,
-        }
-    )
-    return 0 if result.converged else 2
-
-
-# -- table runner -------------------------------------------------------------
+# -- jobs ----------------------------------------------------------------------
 
 _JOB_KINDS = ("bracket", "mass", "normalize", "area")
+
+# Single-command flags (argparse dests) that fill a job key of another name.
+_FLAG_KEYS = {
+    "command": "kind",
+    "abs_tol": "quad_abs_tol",
+    "rel_tol": "quad_rel_tol",
+    "max_subdivisions": "quad_max_subdivisions",
+    "max_evals": "quad_max_evals",
+}
+_KEY_FLAGS = {key: flag for flag, key in _FLAG_KEYS.items()}
 
 
 @dataclass(frozen=True)
@@ -209,123 +178,104 @@ class _Job:
     tol_rel: float
 
 
-def _section_get(section, key: str, label: str, default: str | None = None) -> str:
-    value = section.get(key, fallback=default)
-    if value is None:
-        raise CliInputError(f"job '{label}' is missing required key '{key}'")
-    return value
+def _result_fields(r) -> dict[str, Any]:
+    return {
+        "value": r.value,
+        "error_estimate": r.error_estimate,
+        "n_evals": r.n_evals,
+        "converged": r.converged,
+    }
 
 
-def _job_spec(section, label: str, default_tol: float) -> QuadSpec:
-    abs_tol = _parse_number(
-        section.get("quad_abs_tol", fallback=repr(default_tol)), f"{label}.quad_abs_tol"
-    )
-    rel_tol = _parse_number(
-        section.get("quad_rel_tol", fallback=repr(default_tol)), f"{label}.quad_rel_tol"
-    )
-    max_subdivisions = int(
-        _parse_number(
-            section.get("quad_max_subdivisions", fallback="2000"),
-            f"{label}.quad_max_subdivisions",
-        )
-    )
-    return QuadSpec(abs_tol=abs_tol, rel_tol=rel_tol, max_subdivisions=max_subdivisions)
+def _build_job(label: str, section, where: Callable[[str], str] | None = None) -> _Job:
+    """Parse and validate one job; ``where(key)`` names a key in messages."""
+    where = where or (lambda key: f"{label}.{key}")
 
+    def text(key: str, default: str | None = None) -> str:
+        value = section.get(key, default)
+        if value is None:
+            raise CliInputError(f"job '{label}' is missing required key '{key}'")
+        return value
 
-def _build_job(label: str, section) -> _Job:
-    kind = _section_get(section, "kind", label)
+    def expr(key: str, default: str | None = None) -> Expr:
+        return _parse_expr(text(key, default), where(key))
+
+    def number(key: str, default: str | None = None) -> float:
+        return _parse_number(text(key, default), where(key))
+
+    def integer(key: str, default: str | None = None) -> int:
+        return _parse_int(text(key, default), where(key))
+
+    kind = text("kind")
     if kind not in _JOB_KINDS:
         raise CliInputError(
             f"job '{label}' has unknown kind {kind!r}; expected one of {_JOB_KINDS}"
         )
-
-    expected = None
-    if section.get("expected", fallback=None) is not None:
-        expected = _parse_number(section["expected"], f"{label}.expected")
-    tol_abs = _parse_number(section.get("tol_abs", fallback="0"), f"{label}.tol_abs")
-    tol_rel = _parse_number(section.get("tol_rel", fallback="0"), f"{label}.tol_rel")
+    expected = None if section.get("expected") is None else number("expected")
+    tol_abs = number("tol_abs", "0")
+    tol_rel = number("tol_rel", "0")
+    default_tol = "1e-07" if kind == "area" else "1e-10"
+    max_evals = None
+    if kind == "area" and section.get("quad_max_evals") is not None:
+        max_evals = integer("quad_max_evals")
+    spec = QuadSpec(
+        abs_tol=number("quad_abs_tol", default_tol),
+        rel_tol=number("quad_rel_tol", default_tol),
+        max_subdivisions=integer("quad_max_subdivisions", "2000"),
+        max_evals=max_evals,
+    )
 
     if kind == "bracket":
-        domain = domain_by_name(_section_get(section, "domain", label))
+        try:
+            auto_normalize = section.getboolean("normalize", fallback=True)
+        except ValueError as exc:
+            raise CliInputError(f"invalid boolean for {where('normalize')}: {exc}") from exc
         problem = BracketProblem(
-            domain=domain,
-            tau=_parse_expr(section.get("tau", fallback="1"), f"{label}.tau"),
-            rho=_parse_expr(_section_get(section, "rho", label), f"{label}.rho"),
-            f=_parse_expr(_section_get(section, "f", label), f"{label}.f"),
-            h=_parse_expr(_section_get(section, "h", label), f"{label}.h"),
-            auto_normalize=section.getboolean("normalize", fallback=True),
+            domain=domain_by_name(text("domain")),
+            tau=expr("tau", "1"),
+            rho=expr("rho"),
+            f=expr("f"),
+            h=expr("h"),
+            auto_normalize=auto_normalize,
         )
         problem.validate()
-        spec = _job_spec(section, label, 1e-10)
 
         def run() -> dict[str, Any]:
             r = bracket(problem, spec)
+            return {**_result_fields(r), "normalization_constant": r.normalization_constant}
+
+    elif kind == "mass":
+        domain = domain_by_name(text("domain"))
+        rho = expr("rho")
+
+        def run() -> dict[str, Any]:
+            return _result_fields(density_mass(domain, rho, spec))
+
+    elif kind == "normalize":
+        domain = domain_by_name(text("domain"))
+        rho = expr("rho")
+
+        def run() -> dict[str, Any]:
+            density = normalize(domain, rho, spec)
             return {
-                "value": r.value,
-                "error_estimate": r.error_estimate,
-                "n_evals": r.n_evals,
-                "converged": r.converged,
-                "normalization_constant": r.normalization_constant,
+                **_result_fields(density.mass),
+                "n_evals": density.scale.n_evals + density.mass.n_evals,
+                "scale": density.scale.value,
             }
 
-    elif kind in ("mass", "normalize"):
-        domain = domain_by_name(_section_get(section, "domain", label))
-        rho = _parse_expr(_section_get(section, "rho", label), f"{label}.rho")
-        spec = _job_spec(section, label, 1e-10)
-
-        if kind == "mass":
-            def run() -> dict[str, Any]:
-                r = density_mass(domain, rho, spec)
-                return {
-                    "value": r.value,
-                    "error_estimate": r.error_estimate,
-                    "n_evals": r.n_evals,
-                    "converged": r.converged,
-                }
-        else:
-            def run() -> dict[str, Any]:
-                first = density_mass(domain, rho, spec)
-                density = normalize(domain, rho, spec)
-                check = density.mass
-                return {
-                    "value": check.value,
-                    "error_estimate": check.error_estimate,
-                    "n_evals": first.n_evals + check.n_evals,
-                    "converged": check.converged,
-                    "scale": first.value,
-                }
-
     else:  # area
-        s_lo = _parse_number(_section_get(section, "s_lo", label), f"{label}.s_lo")
-        s_hi = _parse_number(_section_get(section, "s_hi", label), f"{label}.s_hi")
-        t_lo = _parse_number(_section_get(section, "t_lo", label), f"{label}.t_lo")
-        t_hi = _parse_number(_section_get(section, "t_hi", label), f"{label}.t_hi")
         problem = AreaProblem(
-            rho=_parse_expr(_section_get(section, "rho", label), f"{label}.rho"),
-            flow=FlowMap(
-                theta_map=_parse_expr(
-                    _section_get(section, "theta_map", label), f"{label}.theta_map"
-                ),
-                phi_map=_parse_expr(
-                    _section_get(section, "phi_map", label), f"{label}.phi_map"
-                ),
-            ),
-            s_interval=(s_lo, s_hi),
-            t_interval=(t_lo, t_hi),
-            weight_mode=section.get("weight_mode", fallback="measure"),
+            rho=expr("rho"),
+            flow=FlowMap(theta_map=expr("theta_map"), phi_map=expr("phi_map")),
+            s_interval=(number("s_lo"), number("s_hi")),
+            t_interval=(number("t_lo"), number("t_hi")),
+            weight_mode=text("weight_mode", "measure"),
         )
         problem.validate()
-        spec = _job_spec(section, label, 1e-7)
 
         def run() -> dict[str, Any]:
             r = area(problem, spec)
-            return {
-                "value": r.value,
-                "error_estimate": r.error_estimate,
-                "n_evals": r.n_evals,
-                "converged": r.converged,
-                "weight_mode": problem.weight_mode,
-            }
+            return {**_result_fields(r), "weight_mode": problem.weight_mode}
 
     return _Job(
         label=label,
@@ -335,6 +285,33 @@ def _build_job(label: str, section) -> _Job:
         tol_abs=tol_abs,
         tol_rel=tol_rel,
     )
+
+
+def _run_command(args: argparse.Namespace) -> int:
+    """Run a ``bracket`` or ``area`` command as a one-row job; emit its result."""
+    cp = configparser.RawConfigParser()
+    cp.read_dict(
+        {
+            args.command: {
+                _FLAG_KEYS.get(dest, dest): value
+                for dest, value in vars(args).items()
+                if value is not None
+            }
+        }
+    )
+    job = _build_job(
+        args.command,
+        cp[args.command],
+        lambda key: "--" + _KEY_FLAGS.get(key, key).replace("_", "-"),
+    )
+    payload = job.run()
+    if job.kind == "area":
+        payload["area"] = payload.pop("value")
+    _emit(payload)
+    return 0 if payload["converged"] else 2
+
+
+run_bracket = run_area = _run_command
 
 
 def load_jobs(path: str) -> list[_Job]:
@@ -381,11 +358,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "bracket":
-            return run_bracket(args)
-        if args.command == "area":
-            return run_area(args)
-        return run_table(args)
+        if args.command == "table":
+            return run_table(args)
+        return _run_command(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

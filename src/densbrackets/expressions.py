@@ -420,6 +420,13 @@ def _apply_pow(node: BinOp, a: float, b: float) -> float:
 
 
 def _apply_function(node: Call, x: float) -> float:
+    r = _call_function(node, x)
+    if not math.isfinite(r):
+        raise DomainError("overflow", node, x)
+    return r
+
+
+def _call_function(node: Call, x: float) -> float:
     fn = node.fn
     try:
         if fn == "sin":
@@ -932,11 +939,15 @@ def locate_domain_error(
     """Re-evaluate strictly at one point to recover the precise domain error.
 
     Used by vectorised callers after spotting a non-finite entry.  If the
-    strict evaluation unexpectedly succeeds, a generic error is returned.
+    strict evaluation unexpectedly succeeds, a generic overflow error is
+    returned.  The message names every coordinate of the point.
     """
     bindings = dict(zip(variables, point))
     try:
         evaluate(expr, bindings)
-    except ExpressionError as exc:
-        return exc
-    return DomainError("overflow", expr, math.nan)
+        exc: ExpressionError = DomainError("overflow", expr, math.nan)
+    except ExpressionError as raised:
+        exc = raised
+    where = ", ".join(f"{name}={value!r}" for name, value in bindings.items())
+    exc.args = (f"{exc} at {where}",)
+    return exc

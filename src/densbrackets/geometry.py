@@ -27,6 +27,7 @@ from .expressions import (
     BinOp,
     Call,
     Const,
+    DomainError,
     Expr,
     Var,
     compile_expr,
@@ -107,10 +108,15 @@ def domain_by_name(name: str) -> Domain:
 
 @dataclass(frozen=True)
 class Density:
-    """A density expression together with its (optionally cached) mass."""
+    """A density expression together with its (optionally cached) mass.
+
+    ``scale`` is the mass of the input density that :func:`normalize`
+    divided by to get ``expr``.
+    """
 
     expr: Expr
     mass: QuadResult | None = None
+    scale: QuadResult | None = None
 
 
 @dataclass(frozen=True)
@@ -139,24 +145,40 @@ def require_domain_vars(domain: Domain, expr: Expr, what: str) -> None:
         )
 
 
-def compiled_integrand(expr: Expr, coords: tuple[str, str]):
-    """Compile a 2-d integrand that raises a precise error on non-finite points."""
-    compiled = compile_expr(expr, coords)
+def checked_integrand(
+    kernel, expr: Expr, variables: tuple[str, ...], removable=frozenset()
+):
+    """Wrap the compiled ``kernel`` of ``expr`` into a broadcasting integrand
+    ``f(*coords)`` that polices non-finite points.
 
-    def f(U, V):
-        out = np.asarray(compiled(U, V), dtype=float)
-        shape = np.broadcast_shapes(np.shape(U), np.shape(V))
+    Each non-finite entry is re-evaluated strictly at its point.  Domain
+    errors whose kind is in ``removable`` are exact hits of a removable
+    singular set and become 0; any other error is raised, naming every
+    coordinate of the point.
+    """
+
+    def f(*coords):
+        out = np.asarray(kernel(*coords), dtype=float)
+        shape = np.broadcast_shapes(*map(np.shape, coords))
         out = np.broadcast_to(out, shape)
-        if not np.all(np.isfinite(out)):
-            Ub, Vb = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
-            Ub, Vb = np.broadcast_to(Ub, shape), np.broadcast_to(Vb, shape)
-            idx = tuple(np.argwhere(~np.isfinite(out))[0])
-            raise locate_domain_error(
-                expr, coords, (float(Ub[idx]), float(Vb[idx]))
-            )
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = out.copy()
+            for idx in map(tuple, np.argwhere(~finite)):
+                point = tuple(float(np.broadcast_to(c, shape)[idx]) for c in coords)
+                err = locate_domain_error(expr, variables, point)
+                if not (isinstance(err, DomainError) and err.kind in removable):
+                    raise err
+                out[idx] = 0.0
         return out
 
     return f
+
+
+def compiled_integrand(expr: Expr, coords: tuple[str, str]):
+    """:func:`checked_integrand` of ``expr`` over domain coordinates, with no
+    removable points."""
+    return checked_integrand(compile_expr(expr, coords), expr, coords)
 
 
 def density_mass(domain: Domain, rho: Expr, spec: QuadSpec | None = None) -> QuadResult:
@@ -179,10 +201,10 @@ def density_mass(domain: Domain, rho: Expr, spec: QuadSpec | None = None) -> Qua
     )
 
 
-def normalize(domain: Domain, rho: Expr, spec: QuadSpec | None = None) -> Density:
-    """Rescale ``rho`` to unit mass; the returned density caches its recomputed mass."""
-    spec = spec or QuadSpec()
-    mass = density_mass(domain, rho, spec)
+def check_mass(rho: Expr, mass: QuadResult) -> QuadResult:
+    """Return ``mass`` if ``rho`` can be divided by it: converged, finite,
+    positive and more than 10x its error estimate; else raise
+    :class:`NormalizationError`."""
     if not mass.converged:
         raise NormalizationError(
             f"mass integration of '{to_text(rho)}' did not converge "
@@ -195,12 +217,21 @@ def normalize(domain: Domain, rho: Expr, spec: QuadSpec | None = None) -> Densit
         and mass.value > 10.0 * mass.error_estimate
     ):
         raise NormalizationError(
-            f"density '{to_text(rho)}' has non-positive mass {mass.value!r} "
-            f"(error estimate {mass.error_estimate!r})"
+            f"density '{to_text(rho)}' has mass {mass.value!r} with error "
+            f"estimate {mass.error_estimate!r}; a usable mass is finite, "
+            "positive and more than 10x its error estimate"
         )
-    scaled = simplify(BinOp("/", rho, Const(mass.value)))
+    return mass
+
+
+def normalize(domain: Domain, rho: Expr, spec: QuadSpec | None = None) -> Density:
+    """Rescale ``rho`` to unit mass; the returned density carries the mass it
+    was divided by and its own recomputed mass."""
+    spec = spec or QuadSpec()
+    scale = check_mass(rho, density_mass(domain, rho, spec))
+    scaled = simplify(BinOp("/", rho, Const(scale.value)))
     check = density_mass(domain, scaled, spec)
-    return Density(expr=scaled, mass=check)
+    return Density(expr=scaled, mass=check, scale=scale)
 
 
 def check_positive(domain: Domain, rho: Expr, n: int) -> PositivityReport:

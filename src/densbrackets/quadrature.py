@@ -1,6 +1,6 @@
 """Deterministic adaptive Gauss-Kronrod quadrature in 1, 2 and 4 dimensions.
 
-The only rule is the embedded G7/K15 pair.  One dimension is handled by
+The only rule is the embedded G7/K15 pair.  One axis is integrated by
 globally adaptive bisection: the interval with the largest local error
 estimate ``|G - K|`` is split first, ties broken by the leftmost interval,
 and the final value is a compensated (Kahan) sum of panel contributions in
@@ -8,18 +8,21 @@ left-to-right order.  The result is therefore a pure function of the inputs:
 repeat runs are bit-identical, and batched (vectorised) evaluation cannot
 change the reduction order.
 
-Two and four dimensions are iterated tensor products of the 1-d scheme (inner
-tolerance tightened by 10 per nesting for 2-d and by 100 for the 2-d-in-2-d
-of the 4-d case).  The total error estimate of an iterated integral is the
-outer ``|G - K|`` sum plus a Kronrod-weighted bound on the accumulated inner
-error.  Kronrod nodes are strictly interior, so integrands defined on open
-intervals are never evaluated at the endpoints.
+Every integral runs through one iterated core over nested groups of axes.
+The axes of a pair are batched: the inner axis is integrated for all nodes
+of an outer panel at once, with its tolerance tightened by 10.  A further
+group (the inner pair of the 4-d case) is integrated once per point of the
+outer group, at 100x tighter tolerance.  The error estimate of an iterated
+integral is the outer ``|G - K|`` sum plus a Kronrod-weighted bound on the
+accumulated inner error.  Kronrod nodes are strictly interior, so
+integrands defined on open intervals are never evaluated at the endpoints.
 
 Integrands may be plain scalar callables or, with ``vectorized=True``,
 numpy-broadcasting callables (such as the ones produced by
-:func:`densbrackets.expressions.compile_expr`).  Vectorised integrands must
-return finite values; any NaN or infinity aborts the integration with the
-offending point reported.
+:func:`densbrackets.expressions.compile_expr`).  Either kind is adapted once,
+at the public entry, to the core's batched protocol ``g(*coords)``.  Any NaN
+or infinity aborts the integration with every coordinate of the offending
+point reported.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class QuadratureError(Exception):
 
 
 class NonFiniteIntegrandError(QuadratureError):
-    """A vectorised integrand produced NaN or infinity."""
+    """The integrand produced NaN or infinity; ``point`` has every coordinate."""
 
     def __init__(self, point: tuple[float, ...]):
         self.point = point
@@ -107,8 +110,6 @@ _G7_WEIGHTS_EMBEDDED[1::2] = (
     0.129484966168869693,
 )
 
-_RULES = ("g7k15",)
-
 
 def gauss_kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (nodes, kronrod weights, embedded gauss weights) on [-1, 1]."""
@@ -127,7 +128,6 @@ class QuadSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    rule: str = "g7k15"
     max_evals: int | None = None
 
     def __post_init__(self):
@@ -135,8 +135,6 @@ class QuadSpec:
             raise QuadratureError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise QuadratureError("max_subdivisions must be >= 1")
-        if self.rule not in _RULES:
-            raise QuadratureError(f"unknown rule {self.rule!r}")
         if self.max_evals is not None and self.max_evals < 15:
             raise QuadratureError("max_evals must allow at least one panel")
 
@@ -171,10 +169,31 @@ class _Budget:
         return self.limit is not None and self.used >= self.limit
 
 
-# Internal vector integrand protocol: f(nodes[n]) -> (values[..., n], aux)
-# where aux is either None or per-node absolute error carried by the values
-# (used to propagate inner-integral error estimates outward).
-_VecIntegrand = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
+# Batched integrand protocol: g(*coords) -> values broadcast over the coords.
+_Batched = Callable[..., np.ndarray]
+
+# One axis's integrand: f(nodes[n]) -> (values[..., n], aux), where aux is
+# either None or the per-node absolute error carried by the values (used to
+# propagate inner-integral error estimates outward).
+_AxisIntegrand = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
+
+
+def _batched(f: Callable[..., float], vectorized: bool) -> _Batched:
+    """Adapt a caller's integrand, scalar or broadcasting, to ``g(*coords)``."""
+    if vectorized:
+        def g(*coords):
+            shape = np.broadcast_shapes(*map(np.shape, coords))
+            return np.broadcast_to(np.asarray(f(*coords), dtype=float), shape)
+    else:
+        def g(*coords):
+            grid = np.broadcast_arrays(*coords)
+            out = np.empty(grid[0].shape, dtype=float)
+            flat = out.reshape(-1)
+            for i, point in enumerate(zip(*(c.reshape(-1) for c in grid))):
+                flat[i] = f(*map(float, point))
+            return out
+
+    return g
 
 
 class _Panel:
@@ -192,35 +211,38 @@ class _Panel:
 
 
 def _evaluate_panels(
-    f: _VecIntegrand, bounds: Sequence[tuple[float, float]], budget: _Budget
+    f: _AxisIntegrand,
+    bounds: Sequence[tuple[float, float]],
+    budget: _Budget,
+    coords: tuple,
 ) -> list[_Panel]:
-    """Evaluate G7/K15 on each (a, b) in ``bounds`` with a single f call."""
+    """Evaluate G7/K15 on each (a, b) in ``bounds`` with a single f call.
+
+    ``coords`` are the outer coordinates of the batch, for error reports.
+    """
     xs = []
     for a, b in bounds:
         half = 0.5 * (b - a)
         xs.append(0.5 * (a + b) + half * _GK_NODES)
     x = np.concatenate(xs)
     values, aux = f(x)
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] != x.size:
-        values = np.broadcast_to(values, values.shape[:-1] + (x.size,))
     budget.spend(values.size)
+    if not np.isfinite(values).all():
+        idx = tuple(np.argwhere(~np.isfinite(values))[0])
+        batch = values.shape[:-1]
+        point = tuple(float(np.broadcast_to(c, batch)[idx[:-1]]) for c in coords)
+        raise NonFiniteIntegrandError(point + (float(x[idx[-1]]),))
     panels = []
     for i, (a, b) in enumerate(bounds):
         half = 0.5 * (b - a)
         chunk = values[..., 15 * i : 15 * (i + 1)]
-        if not np.all(np.isfinite(chunk)):
-            bad = np.argwhere(~np.isfinite(chunk))[0]
-            raise NonFiniteIntegrandError((float(x[15 * i + bad[-1]]),))
         k15 = half * (chunk @ _K15_WEIGHTS)
         g7 = half * (chunk @ _G7_WEIGHTS_EMBEDDED)
         err = np.abs(k15 - g7)
         if aux is None:
             aux_total = np.zeros_like(k15)
         else:
-            achunk = np.broadcast_to(
-                np.asarray(aux, dtype=float), values.shape
-            )[..., 15 * i : 15 * (i + 1)]
+            achunk = aux[..., 15 * i : 15 * (i + 1)]
             aux_total = half * (np.abs(achunk) @ _K15_WEIGHTS)
         panels.append(_Panel(a, b, k15, err, aux_total))
     return panels
@@ -238,18 +260,19 @@ def _kahan_total(parts: list[np.ndarray]) -> np.ndarray:
 
 
 def _adaptive(
-    f: _VecIntegrand,
+    f: _AxisIntegrand,
     a: float,
     b: float,
     spec: QuadSpec,
     budget: _Budget,
+    coords: tuple,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Globally adaptive 1-d integration of a batched integrand.
+    """Globally adaptive integration of one axis, batched over ``coords``.
 
     Returns per-component (value, error_estimate, converged); the error
     includes both the |G - K| sums and the accumulated aux error.
     """
-    first = _evaluate_panels(f, [(a, b)], budget)[0]
+    first = _evaluate_panels(f, [(a, b)], budget, coords)[0]
     active: dict[int, _Panel] = {0: first}
     heap: list[tuple[float, float, int]] = []
     if first.splittable:
@@ -272,7 +295,7 @@ def _adaptive(
         panel = active.pop(ident)
         mid = 0.5 * (panel.left + panel.right)
         halves = _evaluate_panels(
-            f, [(panel.left, mid), (mid, panel.right)], budget
+            f, [(panel.left, mid), (mid, panel.right)], budget, coords
         )
         val_total = val_total - panel.value
         err_total = err_total - (panel.err + panel.aux)
@@ -293,22 +316,87 @@ def _adaptive(
     return value, error, converged
 
 
-# -- public 1-d --------------------------------------------------------------
+# -- the iterated core -----------------------------------------------------------
+
+Interval = tuple[float, float]
+Box2D = tuple[Interval, Interval]
 
 
-def _scalar_to_vec_1d(f: Callable[[float], float]) -> _VecIntegrand:
-    def g(x: np.ndarray):
-        return np.array([f(float(v)) for v in x], dtype=float), None
+def _iterated(
+    g: _Batched,
+    groups: tuple[tuple[Interval, ...], ...],
+    specs: list[tuple[QuadSpec, ...]],
+    budget: _Budget,
+    fixed: tuple[float, ...] = (),
+) -> tuple[float, float, bool]:
+    """Iterated integral of ``g(*fixed, *coords)`` over nested groups of axes.
 
-    return g
+    ``groups[0]`` holds one axis or a pair; a pair's inner axis is integrated
+    for all nodes of an outer panel at once.  Every point of ``groups[0]``
+    runs one integral over ``groups[1:]``.  ``specs`` holds one spec per axis,
+    group by group.  Returns (value, error_estimate, converged).
+    """
+    ok = True
+
+    def values(*coords):
+        nonlocal ok
+        if len(groups) == 1:
+            return g(*fixed, *coords), None
+        grid = np.broadcast_arrays(*coords)
+        vals = np.empty(grid[0].shape, dtype=float)
+        errs = np.empty(grid[0].shape, dtype=float)
+        for idx in np.ndindex(vals.shape):
+            point = fixed + tuple(float(c[idx]) for c in grid)
+            vals[idx], errs[idx], point_ok = _iterated(
+                g, groups[1:], specs[1:], budget, point
+            )
+            ok = ok and point_ok
+        return vals, errs
+
+    if len(groups[0]) == 1:
+        f = values
+    else:
+        vlo, vhi = groups[0][1]
+
+        def f(u_nodes: np.ndarray):
+            nonlocal ok
+
+            def inner(v_nodes: np.ndarray):
+                return values(u_nodes[:, None], v_nodes[None, :])
+
+            vals, errs, inner_ok = _adaptive(
+                inner, vlo, vhi, specs[0][1], budget, fixed + (u_nodes,)
+            )
+            ok = ok and inner_ok
+            return vals, errs
+
+    lo, hi = groups[0][0]
+    value, err, outer_ok = _adaptive(f, lo, hi, specs[0][0], budget, fixed)
+    return float(value), float(err), outer_ok and ok
 
 
-def _vectorized_to_vec_1d(f: Callable[..., np.ndarray]) -> _VecIntegrand:
-    def g(x: np.ndarray):
-        out = np.asarray(f(x), dtype=float)
-        return np.broadcast_to(out, x.shape), None
-
-    return g
+def _integrate(
+    f: Callable[..., float],
+    groups: tuple[tuple[Interval, ...], ...],
+    spec: QuadSpec | None,
+    vectorized: bool,
+) -> QuadResult:
+    """Public entry: check the intervals, adapt ``f`` and run the core."""
+    checked = []
+    for group in groups:
+        for lo, hi in group:
+            if not lo < hi:
+                raise QuadratureError(f"invalid interval ({lo!r}, {hi!r})")
+        checked.append(tuple((float(lo), float(hi)) for lo, hi in group))
+    spec = spec or QuadSpec()
+    specs, level = [], spec
+    for group in checked:
+        if specs:
+            level = level.tightened(100.0)
+        specs.append((level, level.tightened(10.0))[: len(group)])
+    budget = _Budget(spec.max_evals)
+    value, err, ok = _iterated(_batched(f, vectorized), tuple(checked), specs, budget)
+    return QuadResult(value, err, budget.used, ok and not budget.exhausted)
 
 
 def integrate_1d(
@@ -320,14 +408,7 @@ def integrate_1d(
     vectorized: bool = False,
 ) -> QuadResult:
     """Adaptive integral of ``f`` over the open interval (a, b)."""
-    if not a < b:
-        raise QuadratureError(f"invalid interval ({a!r}, {b!r})")
-    spec = spec or QuadSpec()
-    budget = _Budget(spec.max_evals)
-    fv = _vectorized_to_vec_1d(f) if vectorized else _scalar_to_vec_1d(f)
-    value, err, ok = _adaptive(fv, float(a), float(b), spec, budget)
-    ok = ok and not budget.exhausted
-    return QuadResult(float(value), float(err), budget.used, ok)
+    return _integrate(f, (((a, b),),), spec, vectorized)
 
 
 def kronrod_panel(
@@ -335,51 +416,10 @@ def kronrod_panel(
 ) -> tuple[float, float, float]:
     """Single G7/K15 panel on (a, b): returns (gauss, kronrod, |G - K|)."""
     half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _GK_NODES
-    fx = np.array([f(float(v)) for v in x], dtype=float)
+    fx = _batched(f, False)(0.5 * (a + b) + half * _GK_NODES)
     k15 = half * float(fx @ _K15_WEIGHTS)
     g7 = half * float(fx @ _G7_WEIGHTS_EMBEDDED)
     return g7, k15, abs(k15 - g7)
-
-
-# -- 2-d ---------------------------------------------------------------------
-
-Box2D = tuple[tuple[float, float], tuple[float, float]]
-
-
-def _check_box(box: Box2D) -> Box2D:
-    (ulo, uhi), (vlo, vhi) = box
-    if not (ulo < uhi and vlo < vhi):
-        raise QuadratureError(f"invalid box {box!r}")
-    return ((float(ulo), float(uhi)), (float(vlo), float(vhi)))
-
-
-def _integrate_2d_core(
-    fpair: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray | None]],
-    box: Box2D,
-    spec: QuadSpec,
-    budget: _Budget,
-) -> tuple[float, float, bool]:
-    """Iterated adaptive 2-d driver; inner axis is the second box axis.
-
-    ``fpair(U, V)`` must broadcast and return (values, aux-or-None).
-    """
-    (ulo, uhi), (vlo, vhi) = _check_box(box)
-    inner_spec = spec.tightened(10.0)
-    inner_ok = True
-
-    def outer_integrand(u_nodes: np.ndarray):
-        nonlocal inner_ok
-
-        def inner_integrand(v_nodes: np.ndarray):
-            return fpair(u_nodes[:, None], v_nodes[None, :])
-
-        vals, errs, ok = _adaptive(inner_integrand, vlo, vhi, inner_spec, budget)
-        inner_ok = inner_ok and ok
-        return vals, errs
-
-    value, err, outer_ok = _adaptive(outer_integrand, ulo, uhi, spec, budget)
-    return float(value), float(err), outer_ok and inner_ok
 
 
 def integrate_2d(
@@ -395,28 +435,7 @@ def integrate_2d(
     with the inner tolerance tightened by a factor of 10.  The error estimate
     is the outer |G - K| sum plus the accumulated inner estimates.
     """
-    spec = spec or QuadSpec()
-    budget = _Budget(spec.max_evals)
-    if vectorized:
-        def fpair(U, V):
-            out = np.asarray(f(U, V), dtype=float)
-            shape = np.broadcast_shapes(np.shape(U), np.shape(V))
-            return np.broadcast_to(out, shape), None
-    else:
-        def fpair(U, V):
-            Ub, Vb = np.broadcast_arrays(U, V)
-            out = np.empty(Ub.shape, dtype=float)
-            flat = out.reshape(-1)
-            for i, (uu, vv) in enumerate(zip(Ub.reshape(-1), Vb.reshape(-1))):
-                flat[i] = f(float(uu), float(vv))
-            return out, None
-
-    value, err, ok = _integrate_2d_core(fpair, box, spec, budget)
-    ok = ok and not budget.exhausted
-    return QuadResult(value, err, budget.used, ok)
-
-
-# -- 4-d ---------------------------------------------------------------------
+    return _integrate(f, (tuple(box),), spec, vectorized)
 
 
 def integrate_4d(
@@ -436,52 +455,4 @@ def integrate_4d(
     by all levels; exhausting it yields the best estimate with
     ``converged=False``.
     """
-    spec = spec or QuadSpec()
-    outer_box = _check_box(outer_box)
-    inner_box = _check_box(inner_box)
-    inner_spec = spec.tightened(100.0)
-    budget = _Budget(spec.max_evals)
-    inner_ok = True
-
-    if vectorized:
-        def point_integrand(s: float, t: float):
-            def g(U, V):
-                out = np.asarray(f(s, t, U, V), dtype=float)
-                shape = np.broadcast_shapes(np.shape(U), np.shape(V))
-                return np.broadcast_to(out, shape), None
-
-            return g
-    else:
-        def point_integrand(s: float, t: float):
-            def g(U, V):
-                Ub, Vb = np.broadcast_arrays(U, V)
-                out = np.empty(Ub.shape, dtype=float)
-                flat = out.reshape(-1)
-                for i, (uu, vv) in enumerate(zip(Ub.reshape(-1), Vb.reshape(-1))):
-                    flat[i] = f(s, t, float(uu), float(vv))
-                return out, None
-
-            return g
-
-    def fpair(S, T):
-        nonlocal inner_ok
-        Sb, Tb = np.broadcast_arrays(S, T)
-        vals = np.empty(Sb.shape, dtype=float)
-        errs = np.empty(Sb.shape, dtype=float)
-        for idx in np.ndindex(Sb.shape):
-            v, e, ok = _integrate_2d_core(
-                lambda U, V, _s=float(Sb[idx]), _t=float(Tb[idx]): point_integrand(
-                    _s, _t
-                )(U, V),
-                inner_box,
-                inner_spec,
-                budget,
-            )
-            inner_ok = inner_ok and ok
-            vals[idx] = v
-            errs[idx] = e
-        return vals, errs
-
-    value, err, outer_ok = _integrate_2d_core(fpair, outer_box, spec, budget)
-    converged = outer_ok and inner_ok and not budget.exhausted
-    return QuadResult(value, err, budget.used, converged)
+    return _integrate(f, (tuple(outer_box), tuple(inner_box)), spec, vectorized)

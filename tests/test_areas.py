@@ -322,3 +322,7 @@ def test_surviving_sqrt_domain_error_identifies_node():
         inner_bracket(p, 1.0, 1.0)
     assert "theta=" in str(err.value)
     assert "sqrt" in str(err.value)
+    with pytest.raises(ExpressionError) as err:
+        area(p, QuadSpec(abs_tol=1e-3, rel_tol=1e-3))
+    for name in ("theta=", "phi=", "s=", "t="):
+        assert name in str(err.value)

@@ -105,6 +105,12 @@ def test_no_normalize_scales_by_raw_mass():
     assert raw.normalization_constant is None
 
 
+def test_mass_lost_in_noise_raises():
+    # integrates to 0: the computed mass is far below its error estimate
+    with pytest.raises(NormalizationError):
+        bracket(_problem(SQUARE, "1", "x - 1/2", "x", "y"))
+
+
 def test_unresolvable_mass_raises():
     spec = QuadSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=2)
     with pytest.raises(NormalizationError):

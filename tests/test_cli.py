@@ -9,6 +9,8 @@ import pytest
 
 from densbrackets import __version__
 from densbrackets.cli import main
+from densbrackets.expressions import parse
+from densbrackets.geometry import SPHERE, normalize
 
 from oracles import FOUR_PI_SQUARED
 
@@ -258,3 +260,122 @@ quad_rel_tol = 1e-8
     line = json.loads(out)
     assert line["kind"] == "area" and line["weight_mode"] == "measure"
     assert line["pass"] is True
+
+
+# -- one job path: subcommands and table rows -----------------------------------------
+
+
+def _one_row_table(tmp_path, capsys, body):
+    cfg = tmp_path / "row.cfg"
+    cfg.write_text("[row]\n" + body)
+    code, out, _ = run_cli(capsys, "table", str(cfg))
+    return code, json.loads(out)
+
+
+_RESULT_KEYS = ("error_estimate", "n_evals", "converged")
+
+
+def test_bracket_command_matches_table_row(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "bracket", "--domain", "torus", "--rho", "exp(cos(t1)+cos(t2))",
+        "--f", "sin(t1)", "--h", "t2", "--abs-tol", "1e-9", "--max-subdivisions", "300",
+    )
+    single = json.loads(out)
+    row_code, row = _one_row_table(
+        tmp_path, capsys,
+        "kind = bracket\ndomain = torus\nrho = exp(cos(t1)+cos(t2))\nf = sin(t1)\nh = t2\n"
+        "quad_abs_tol = 1e-9\nquad_max_subdivisions = 300\n",
+    )
+    assert code == row_code == 0
+    assert single["value"] == row["value"]
+    assert single["normalization_constant"] == row["normalization_constant"]
+    assert all(single[k] == row[k] for k in _RESULT_KEYS)
+
+
+def test_area_command_matches_table_row(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "area", "--rho", "1 + sin(theta)^2/2", "--theta-map", "arccos(theta + s)",
+        "--phi-map", "phi + t", "--s-lo", "pi/4", "--s-hi", "3*pi/4",
+        "--t-lo", "pi/4", "--t-hi", "3*pi/4", "--weight-mode", "literal",
+        "--abs-tol", "1e-9", "--rel-tol", "1e-9", "--max-evals", "20000",
+    )
+    single = json.loads(out)
+    row_code, row = _one_row_table(
+        tmp_path, capsys,
+        "kind = area\nrho = 1 + sin(theta)^2/2\ntheta_map = arccos(theta + s)\n"
+        "phi_map = phi + t\ns_lo = pi/4\ns_hi = 3*pi/4\nt_lo = pi/4\nt_hi = 3*pi/4\n"
+        "weight_mode = literal\nquad_abs_tol = 1e-9\nquad_rel_tol = 1e-9\n"
+        "quad_max_evals = 20000\n",
+    )
+    assert single["converged"] is False  # the budget ran out
+    assert code == row_code == 2
+    assert single["area"] == row["value"]
+    assert single["weight_mode"] == row["weight_mode"] == "literal"
+    assert all(single[k] == row[k] for k in _RESULT_KEYS)
+
+
+def test_normalize_row_counts_every_evaluation(tmp_path, capsys):
+    rows = [
+        _one_row_table(tmp_path, capsys, f"kind = {kind}\ndomain = sphere\nrho = 2 + cos(theta)\n")[1]
+        for kind in ("normalize", "mass")
+    ]
+    row, first = rows
+    assert row["scale"] == first["value"]
+    assert row["value"] == pytest.approx(1.0, abs=1e-12)
+    # the mass of the input plus the check mass of the normalized density
+    density = normalize(SPHERE, parse("2 + cos(theta)"))
+    assert density.scale.n_evals == first["n_evals"]
+    assert row["n_evals"] == first["n_evals"] + density.mass.n_evals
+
+
+def test_bessel_overflow_is_a_typed_error(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "bracket", "--domain", "torus", "--rho", "besseli0(1000*cos(t1))",
+        "--f", "t1", "--h", "t2",
+    )
+    assert code == 1 and out == ""
+    assert "overflow" in err and "t1=" in err and "t2=" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["1e400", "2.5"])
+def test_integer_flags_are_checked(capsys, value):
+    code, out, err = run_cli(
+        capsys,
+        "area", "--rho", "1", "--theta-map", "theta", "--phi-map", "phi+t",
+        "--s-lo", "1", "--s-hi", "2", "--t-lo", "1", "--t-hi", "2",
+        "--max-evals", value,
+    )
+    assert code == 1 and out == ""
+    assert "--max-evals" in err
+    code, out, err = run_cli(
+        capsys,
+        "bracket", "--domain", "square", "--rho", "1", "--f", "x", "--h", "y",
+        "--max-subdivisions", value,
+    )
+    assert code == 1 and out == ""
+    assert "--max-subdivisions" in err
+
+
+@pytest.mark.parametrize("key", ["quad_max_subdivisions", "quad_max_evals"])
+@pytest.mark.parametrize("value", ["1e400", "2.5"])
+def test_integer_table_keys_are_checked(tmp_path, capsys, key, value):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text(
+        "[patch]\nkind = area\nrho = 1\ntheta_map = theta\nphi_map = phi + t\n"
+        f"s_lo = 1\ns_hi = 2\nt_lo = 1\nt_hi = 2\n{key} = {value}\n"
+    )
+    code, out, err = run_cli(capsys, "table", str(cfg))
+    assert code == 1 and out == ""
+    assert f"patch.{key}" in err
+
+
+def test_boolean_table_key_is_checked(tmp_path, capsys):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("[row]\nkind = bracket\ndomain = square\nrho = 1\nf = x\nh = y\nnormalize = maybe\n")
+    code, out, err = run_cli(capsys, "table", str(cfg))
+    assert code == 1 and out == ""
+    assert "row.normalize" in err

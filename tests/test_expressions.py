@@ -127,6 +127,7 @@ def test_eval_unbound_variable():
         ("(-2)^(1/2)", {}, "pow-negative-base"),
         ("x^(-1)", {"x": 0.0}, "division-by-zero"),
         ("1e308*10", {}, "overflow"),
+        ("besseli0(1000)", {}, "overflow"),
     ],
 )
 def test_eval_domain_errors(text, bindings, kind):
@@ -332,6 +333,14 @@ def test_simplify_does_not_fold_undefined_constants():
     e = simplify(parse("x + 1/0"))
     with pytest.raises(DomainError):
         evaluate(e, {"x": 1.0})
+
+
+def test_simplify_does_not_fold_overflowing_calls():
+    e = simplify(parse("besseli0(1000)"))
+    assert e == Call("besseli0", Const(1000.0))
+    with pytest.raises(DomainError) as err:
+        evaluate(e, {})
+    assert err.value.kind == "overflow"
 
 
 # -- free_vars / printing ----------------------------------------------------------

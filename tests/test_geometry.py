@@ -119,6 +119,14 @@ def test_normalize_idempotent():
     assert abs(d2.mass.value - d1.mass.value) <= 1e-10
 
 
+def test_normalize_carries_its_scale():
+    rho = parse("exp(cos(t1)+cos(t2))")
+    d = normalize(TORUS, rho)
+    mass = density_mass(TORUS, rho)
+    assert d.scale == mass
+    assert d.mass.value == pytest.approx(1.0, abs=1e-9)
+
+
 def test_normalize_rejects_nonpositive_mass():
     with pytest.raises(NormalizationError):
         normalize(SQUARE, parse("x - 1/2"))  # integrates to 0

@@ -103,7 +103,7 @@ def test_spec_validation():
     with pytest.raises(QuadratureError):
         QuadSpec(max_subdivisions=0)
     with pytest.raises(QuadratureError):
-        QuadSpec(rule="g10k21")
+        QuadSpec(max_evals=14)
 
 
 # -- adaptivity properties ---------------------------------------------------------
@@ -200,8 +200,28 @@ def test_open_interval_endpoints_never_evaluated():
 
 
 def test_nonfinite_integrand_reported():
-    with pytest.raises(NonFiniteIntegrandError):
+    with pytest.raises(NonFiniteIntegrandError) as err:
         integrate_1d(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0, vectorized=True)
+    (x,) = err.value.point
+    assert x > 0.5
+
+
+def test_nonfinite_point_has_every_coordinate():
+    with pytest.raises(NonFiniteIntegrandError) as err:
+        integrate_2d(
+            lambda U, V: np.where(V > 0.5, np.inf, U), ((0, 1), (0, 1)), vectorized=True
+        )
+    u, v = err.value.point
+    assert 0.0 < u < 1.0 and v > 0.5
+    with pytest.raises(NonFiniteIntegrandError) as err:
+        integrate_4d(
+            lambda s, t, u, v: math.nan if s + v > 1.5 else 1.0,
+            ((0, 1), (0, 1)),
+            ((0, 1), (0, 1)),
+            QuadSpec(abs_tol=1e-6, rel_tol=1e-6),
+        )
+    s, t, u, v = err.value.point
+    assert s + v > 1.5 and 0.0 < t < 1.0 and 0.0 < u < 1.0
 
 
 # -- 2-d ---------------------------------------------------------------------------

@@ -82,3 +82,16 @@ def test_array_variants_preserve_shape():
     x = np.linspace(0.0, 2.0, 12).reshape(3, 4)
     assert _specials.erf_array(x).shape == (3, 4)
     assert _specials.besseli0_array(x).shape == (3, 4)
+
+
+def test_bessel_arrays_overflow_to_inf():
+    x = np.array([0.5, 25.0, 700.0, 1000.0, -1000.0, 1e6, 1e200])
+    with np.errstate(all="ignore"):
+        i0 = _specials.besseli0_array(x)
+        i1 = _specials.besseli1_array(x)
+    # finite entries equal the arrays evaluated on their own
+    np.testing.assert_array_equal(i0[:3], _specials.besseli0_array(x[:3]))
+    np.testing.assert_array_equal(i1[:3], _specials.besseli1_array(x[:3]))
+    assert np.all(np.isfinite(i0[:3])) and np.all(np.isfinite(i1[:3]))
+    assert np.all(i0[3:] == np.inf)
+    assert list(i1[3:]) == [np.inf, -np.inf, np.inf, np.inf]
