@@ -24,12 +24,12 @@ Substituting something like ``arccos(theta + s)`` takes arccos outside its
 principal domain; :func:`pullback_density` therefore runs the rationalizing
 rewrites of :func:`densbrackets.expressions.simplify` so that even powers of
 ``sin(arccos(...))`` become polynomial and the integrand is real away from a
-measure-zero set of removable points.  Quadrature nodes are interior and
-essentially never hit that set; if one does (an exact division by zero or an
-overflowing removable factor), the integrand evaluator maps the point to 0.
-Genuine domain violations - a surviving square root of a negative quantity,
-a logarithm of a non-positive value - abort with the offending subexpression
-and all four coordinates of the point reported.
+measure-zero set of removable points.  Quadrature nodes are interior and do
+not hit that set in the shipped problems.  Every non-finite integrand value
+is an error, as for masses and brackets: a division by zero, an overflow, a
+surviving square root of a negative quantity or a logarithm of a
+non-positive value aborts with the offending subexpression and all four
+coordinates of the point reported.
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ DEFAULT_EVAL_BUDGET = 5_000_000_000
 _VARS = ("s", "t", "phi", "theta")
 _THETA_BOX = SPHERE.box[0]
 _PHI_BOX = SPHERE.box[1]
-
-# Error kinds treated as exact hits of a removable singular set; every
-# density here is bounded, so only removable denominators can produce them.
-_REMOVABLE_KINDS = frozenset({"division-by-zero", "overflow"})
 
 
 @dataclass(frozen=True)
@@ -152,7 +148,7 @@ def _area_integrand(problem: AreaProblem):
     """The policed area integrand ``f(s, t, phi, theta)``, in driver order."""
     expr = _integrand_expr(problem)
     kernel = compile_expr(expr, _VARS)
-    return checked_integrand(kernel, expr, _VARS, _REMOVABLE_KINDS)
+    return checked_integrand(kernel, expr, _VARS)
 
 
 def _default_spec(spec: QuadSpec | None) -> QuadSpec:
@@ -183,13 +179,7 @@ def area(problem: AreaProblem, spec: QuadSpec | None = None) -> QuadResult:
         spec,
         vectorized=True,
     )
-    kappa = SPHERE.prefactor
-    return QuadResult(
-        kappa * result.value,
-        kappa * result.error_estimate,
-        result.n_evals,
-        result.converged,
-    )
+    return result.scaled(SPHERE.prefactor)
 
 
 def inner_bracket(
@@ -216,10 +206,4 @@ def inner_bracket(
         spec,
         vectorized=True,
     )
-    kappa = SPHERE.prefactor
-    return QuadResult(
-        kappa * result.value,
-        kappa * result.error_estimate,
-        result.n_evals,
-        result.converged,
-    )
+    return result.scaled(SPHERE.prefactor)

@@ -10,8 +10,9 @@ The grammar is plain infix arithmetic over real numbers::
 
 ``^`` binds tighter than unary minus, which binds tighter than ``*``/``/``.
 Unary minus is represented as ``0 - x``.  ``pi`` and ``e`` are named
-constants, not variables.  Decimal and scientific literals are accepted, and
-identifiers match ``[a-zA-Z][a-zA-Z0-9_]*``.
+constants, not variables.  Decimal and scientific literals are accepted if
+they are finite doubles (``1e400`` is a parse error), and identifiers match
+``[a-zA-Z][a-zA-Z0-9_]*``.
 
 Supported functions: sin, cos, tan, exp, ln, sqrt, abs, arcsin, arccos,
 arctan, erf, besseli0.  Two more names, ``besseli1`` and ``sign``, exist only
@@ -24,14 +25,22 @@ Everything here is real-valued and strict: evaluating ``sqrt``, ``ln``,
 :class:`DomainError` instead of returning NaN or infinity.  All trees are
 immutable and all operations are pure, so expressions can be shared freely
 between threads.
+
+There is one evaluator.  A tree is lowered to a straight-line program with
+one slot per distinct subtree, each step a numpy operation.
+:func:`compile_expr` runs it unchecked over arrays; :func:`evaluate` runs it
+at one point with each step's domain rule checked, and :func:`simplify`
+folds constants through the same checked step.  So strict values, folded
+constants and kernel entries agree bit for bit.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 import re
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -179,7 +188,7 @@ class BinOp(Expr):
 PI = NamedConst("pi")
 E = NamedConst("e")
 
-_NAMED_VALUES = {"pi": math.pi, "e": math.e}
+_NAMED_VALUES = {"pi": np.pi, "e": np.e}
 
 # Functions available in the surface grammar.
 FUNCTIONS = (
@@ -269,8 +278,8 @@ class _Tokenizer:
 def parse(text: str) -> Expr:
     """Parse an expression string into a tree.
 
-    Raises :class:`ParseError` with the offending position on syntax errors
-    and on unknown function names.
+    Raises :class:`ParseError` with the offending position on syntax errors,
+    unknown function names and literals too large for a double.
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
@@ -327,7 +336,10 @@ def _parse_power(toks: _Tokenizer) -> Expr:
 def _parse_atom(toks: _Tokenizer) -> Expr:
     kind, value, pos = toks.next()
     if kind == "number":
-        return Const(float(value))
+        number = float(value)
+        if number > sys.float_info.max:
+            raise ParseError(f"number {value!r} is too large for a double", pos)
+        return Const(number)
     if kind == "name":
         nk, nv, _ = toks.peek()
         if nk == "op" and nv == "(":
@@ -356,120 +368,146 @@ def _parse_atom(toks: _Tokenizer) -> Expr:
     )
 
 
-# -- evaluation --------------------------------------------------------------
+# -- evaluation: one lowered program ---------------------------------------------
 
 Bindings = Mapping[str, float]
+
+
+def _pow_rule(a, b):
+    if a < 0.0 and not float(b).is_integer():
+        return "pow-negative-base", a
+    if a == 0.0 and b < 0.0:
+        return "division-by-zero", a
+    return None
+
+
+def _range_rule(kind: str):
+    return lambda x: not -1.0 <= x <= 1.0 and (kind, x)
+
+
+# Every operator's numpy operation and its domain rule.  A rule maps the
+# arguments at one point to (kind, offending argument), or to a false value
+# inside the domain; a non-finite result is an overflow whatever the rule.
+# Division is np.divide, not operator.truediv: a kernel step over two Python
+# floats (constants, or fixed outer coordinates) must give inf, not raise
+# ZeroDivisionError.
+_OPS: dict[str, tuple[Callable, Callable | None]] = {
+    "+": (operator.add, None),
+    "-": (operator.sub, None),
+    "*": (operator.mul, None),
+    "/": (np.divide, lambda a, b: b == 0.0 and ("division-by-zero", b)),
+    "^": (np.power, _pow_rule),
+    "sin": (np.sin, None),
+    "cos": (np.cos, None),
+    "tan": (np.tan, None),
+    "exp": (np.exp, None),
+    "ln": (np.log, lambda x: x <= 0.0 and ("log-nonpositive", x)),
+    "sqrt": (np.sqrt, lambda x: x < 0.0 and ("sqrt-negative", x)),
+    "abs": (np.abs, None),
+    "arcsin": (np.arcsin, _range_rule("arcsin-range")),
+    "arccos": (np.arccos, _range_rule("arccos-range")),
+    "arctan": (np.arctan, None),
+    "sign": (np.sign, None),
+    "erf": (_specials.erf_array, None),
+    "besseli0": (_specials.besseli0_array, None),
+    "besseli1": (_specials.besseli1_array, None),
+}
+
+
+def _checked(node: Call | BinOp, args: tuple) -> float:
+    """Apply ``node``'s operator to its argument values at one point.
+
+    Raises :class:`DomainError` when a domain rule fails or the result is
+    not finite.  Callers hold ``np.errstate(all="ignore")``.
+    """
+    fn, rule = _OPS[node.fn if isinstance(node, Call) else node.op]
+    fault = rule is not None and rule(*args)
+    if fault:
+        raise DomainError(fault[0], node, float(fault[1]))
+    r = fn(*args)
+    if not abs(r) <= sys.float_info.max:  # inf or NaN
+        # a function reports its argument, an operator its result
+        raise DomainError("overflow", node, float(args[0] if len(args) == 1 else r))
+    return r
+
+
+class _Program(NamedTuple):
+    """Straight-line code with one slot per distinct subtree.
+
+    Slots hold the inputs, then constants and step results in order of first
+    appearance; ``init`` is the part after the inputs (the constants' values,
+    None where a step writes).  Step ``(fn, i, j, k)`` stores ``fn(slot i)``,
+    or ``fn(slot i, slot j)`` when ``j >= 0``, in slot k; ``nodes`` holds the
+    subtree each step computes.
+    """
+
+    init: tuple
+    steps: tuple[tuple[Callable, int, int, int], ...]
+    nodes: tuple[Call | BinOp, ...]
+    result: int
+
+
+def _lower(expr: Expr, variables: Sequence[str]) -> _Program:
+    """Lower ``expr`` to a program whose inputs are ``variables``.
+
+    Subtrees are hash-consed on (operator, argument slots), so lowering is
+    linear in the tree size.  Constants are keyed by their bits, which keeps
+    ``0.0`` and ``-0.0`` apart.
+    """
+    n_inputs = len(variables)
+    slots: dict[tuple, int] = {("var", name): i for i, name in enumerate(variables)}
+    init: list = []
+    steps: list[tuple[Callable, int, int, int]] = []
+    nodes: list[Call | BinOp] = []
+
+    def visit(node: Expr) -> int:
+        if isinstance(node, Var):
+            try:
+                return slots[("var", node.name)]
+            except KeyError:
+                raise UnboundVariableError(node.name) from None
+        if isinstance(node, (Const, NamedConst)):
+            value = node.value if isinstance(node, Const) else _NAMED_VALUES[node.name]
+            key: tuple = ("const", value.hex())
+        elif isinstance(node, Call):
+            key = (node.fn, visit(node.arg), -1)
+        elif isinstance(node, BinOp):
+            key = (node.op, visit(node.left), visit(node.right))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = n_inputs + len(init)
+            if key[0] == "const":
+                init.append(value)
+            else:
+                init.append(None)
+                steps.append((_OPS[key[0]][0], key[1], key[2], slot))
+                nodes.append(node)
+        return slot
+
+    result = visit(expr)
+    return _Program(tuple(init), tuple(steps), tuple(nodes), result)
 
 
 def evaluate(expr: Expr, bindings: Bindings) -> float:
     """Evaluate with all free variables bound; strict about domains.
 
-    Bindings of variables that do not occur are ignored.  Out-of-domain
-    arguments (including division by zero and overflow) raise
-    :class:`DomainError`; an unbound variable raises
-    :class:`UnboundVariableError`.  The result is always a finite float.
+    Runs the program :func:`compile_expr` runs, with every step checked:
+    the value is the compiled kernel's bit for bit.  Bindings of variables
+    that do not occur are ignored.  Out-of-domain arguments (including
+    division by zero and overflow) raise :class:`DomainError`; an unbound
+    variable raises :class:`UnboundVariableError`.  The result is finite
+    whenever the bindings are.
     """
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, NamedConst):
-        return _NAMED_VALUES[expr.name]
-    if isinstance(expr, Var):
-        try:
-            return float(bindings[expr.name])
-        except KeyError:
-            raise UnboundVariableError(expr.name) from None
-    if isinstance(expr, Call):
-        return _apply_function(expr, evaluate(expr.arg, bindings))
-    if isinstance(expr, BinOp):
-        a = evaluate(expr.left, bindings)
-        b = evaluate(expr.right, bindings)
-        return _apply_binop(expr, a, b)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _apply_binop(node: BinOp, a: float, b: float) -> float:
-    op = node.op
-    if op == "+":
-        r = a + b
-    elif op == "-":
-        r = a - b
-    elif op == "*":
-        r = a * b
-    elif op == "/":
-        if b == 0.0:
-            raise DomainError("division-by-zero", node, b)
-        r = a / b
-    elif op == "^":
-        r = _apply_pow(node, a, b)
-    else:
-        raise TypeError(f"unknown operator {op!r}")
-    if not math.isfinite(r):
-        raise DomainError("overflow", node, r)
-    return r
-
-
-def _apply_pow(node: BinOp, a: float, b: float) -> float:
-    if a < 0.0 and not float(b).is_integer():
-        raise DomainError("pow-negative-base", node, a)
-    if a == 0.0 and b < 0.0:
-        raise DomainError("division-by-zero", node, a)
-    try:
-        return a**b
-    except OverflowError:
-        raise DomainError("overflow", node, a) from None
-
-
-def _apply_function(node: Call, x: float) -> float:
-    r = _call_function(node, x)
-    if not math.isfinite(r):
-        raise DomainError("overflow", node, x)
-    return r
-
-
-def _call_function(node: Call, x: float) -> float:
-    fn = node.fn
-    try:
-        if fn == "sin":
-            return math.sin(x)
-        if fn == "cos":
-            return math.cos(x)
-        if fn == "tan":
-            return math.tan(x)
-        if fn == "exp":
-            if x > 709.78:
-                raise DomainError("overflow", node, x)
-            return math.exp(x)
-        if fn == "ln":
-            if x <= 0.0:
-                raise DomainError("log-nonpositive", node, x)
-            return math.log(x)
-        if fn == "sqrt":
-            if x < 0.0:
-                raise DomainError("sqrt-negative", node, x)
-            return math.sqrt(x)
-        if fn == "abs":
-            return abs(x)
-        if fn == "arcsin":
-            if not -1.0 <= x <= 1.0:
-                raise DomainError("arcsin-range", node, x)
-            return math.asin(x)
-        if fn == "arccos":
-            if not -1.0 <= x <= 1.0:
-                raise DomainError("arccos-range", node, x)
-            return math.acos(x)
-        if fn == "arctan":
-            return math.atan(x)
-        if fn == "erf":
-            return _specials.erf(x)
-        if fn == "besseli0":
-            return _specials.besseli0(x)
-        if fn == "besseli1":
-            return _specials.besseli1(x)
-        if fn == "sign":
-            return math.copysign(1.0, x) if x != 0.0 else 0.0
-    except OverflowError:
-        raise DomainError("overflow", node, x) from None
-    raise TypeError(f"unknown function {fn!r}")
+    program = _lower(expr, tuple(bindings))
+    slots = [float(v) for v in bindings.values()]
+    slots.extend(program.init)
+    with np.errstate(all="ignore"):
+        for (_, i, j, k), node in zip(program.steps, program.nodes):
+            args = (slots[i],) if j < 0 else (slots[i], slots[j])
+            slots[k] = _checked(node, args)
+    return float(slots[program.result])
 
 
 # -- differentiation ---------------------------------------------------------
@@ -702,12 +740,11 @@ def simplify(expr: Expr) -> Expr:
     The rules, applied bottom-up to a fixed point:
 
     * constant folding of operators and function calls with constant,
-      in-domain arguments (``pi``/``e`` stay symbolic);
+      in-domain arguments, by the checked step :func:`evaluate` runs
+      (``pi``/``e`` stay symbolic);
     * ``x*0 -> 0``, ``x*1 -> x``, ``x+0 -> x``, ``x-0 -> x``, ``x/1 -> x``,
       ``x^1 -> x``, ``x^0 -> 1`` (and mirrored variants);
     * ``cos(arccos(u)) -> u`` and ``sin(arccos(u)) -> sqrt(1 - u^2)``;
-    * ``sin(u)^(2k) -> (1 - cos(u)^2)^k`` when ``u`` is an ``arccos``
-      application (the case in which the rewrite removes a radical);
     * ``sqrt(u)^(2k) -> u^k`` for integer k >= 1;
     * ``(a*b)^n -> a^n * b^n`` and ``(a/b)^n -> a^n / b^n`` for integer
       ``2 <= n <= 64`` when the base contains a ``sqrt``, so that even powers
@@ -718,11 +755,12 @@ def simplify(expr: Expr) -> Expr:
     preserved exactly up to floating-point evaluation order.
     """
     current = expr
-    for _ in range(_MAX_SIMPLIFY_PASSES):
-        rewritten = _simplify_pass(current)
-        if rewritten == current:
-            return rewritten
-        current = rewritten
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_SIMPLIFY_PASSES):
+            rewritten = _simplify_pass(current)
+            if rewritten == current:
+                return rewritten
+            current = rewritten
     return current
 
 
@@ -774,17 +812,18 @@ def _contains_sqrt(expr: Expr) -> bool:
 
 
 def _rewrite_call(fn: str, arg: Expr) -> Expr:
+    node = Call(fn, arg)
     if isinstance(arg, Const):
         try:
-            return Const(_apply_function(Call(fn, arg), arg.value))
-        except ExpressionError:
+            return Const(_checked(node, (arg.value,)))
+        except DomainError:
             pass  # out of domain: keep symbolic, evaluation will report it
     if fn == "cos" and isinstance(arg, Call) and arg.fn == "arccos":
         return arg.arg
     if fn == "sin" and isinstance(arg, Call) and arg.fn == "arccos":
         u = arg.arg
         return Call("sqrt", BinOp("-", Const(1.0), BinOp("^", u, Const(2.0))))
-    return Call(fn, arg)
+    return node
 
 
 def _rewrite_binop(op: str, left: Expr, right: Expr) -> Expr:
@@ -792,8 +831,8 @@ def _rewrite_binop(op: str, left: Expr, right: Expr) -> Expr:
     lv, rv = _const_value(left), _const_value(right)
     if lv is not None and rv is not None:
         try:
-            return Const(_apply_binop(node, lv, rv))
-        except ExpressionError:
+            return Const(_checked(node, (lv, rv)))
+        except DomainError:
             return node  # undefined constant (e.g. 1/0): leave for evaluation
     if op == "*":
         if _is_zero(left) or _is_zero(right):
@@ -829,18 +868,6 @@ def _rewrite_pow(base: Expr, exponent: Expr) -> Expr:
         if isinstance(base, Call) and base.fn == "sqrt" and n % 2 == 0:
             k = n // 2
             return base.arg if k == 1 else BinOp("^", base.arg, Const(float(k)))
-        # sin(arccos(v))^(2k) -> (1 - v^2)^k  (redundant with the sin/sqrt
-        # rules, kept so the pair of rewrites composes in a single pass)
-        if (
-            isinstance(base, Call)
-            and base.fn == "sin"
-            and isinstance(base.arg, Call)
-            and base.arg.fn == "arccos"
-            and n % 2 == 0
-        ):
-            k = n // 2
-            inner = BinOp("-", Const(1.0), BinOp("^", base.arg.arg, Const(2.0)))
-            return inner if k == 1 else BinOp("^", inner, Const(float(k)))
         # distribute integer powers over * and / to expose radicals
         if (
             isinstance(base, BinOp)
@@ -857,24 +884,7 @@ def _rewrite_pow(base: Expr, exponent: Expr) -> Expr:
     return BinOp("^", base, exponent)
 
 
-# -- compilation to vectorised callables --------------------------------------
-
-_NUMPY_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "ln": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "arcsin": np.arcsin,
-    "arccos": np.arccos,
-    "arctan": np.arctan,
-    "sign": np.sign,
-    "erf": _specials.erf_array,
-    "besseli0": _specials.besseli0_array,
-    "besseli1": _specials.besseli1_array,
-}
+# -- compiled kernels ---------------------------------------------------------------
 
 
 def compile_expr(
@@ -882,72 +892,39 @@ def compile_expr(
 ) -> Callable[..., np.ndarray]:
     """Compile to a numpy-broadcasting callable ``f(*arrays) -> ndarray``.
 
-    The compiled function performs no domain checking: out-of-domain points
-    yield NaN/inf entries under suppressed floating-point warnings, and the
-    caller decides how to police them (see :func:`locate_domain_error`).
-    Unknown free variables raise immediately at compile time.
+    The callable runs the lowered program without domain checks:
+    out-of-domain points yield NaN/inf entries under suppressed
+    floating-point warnings, and the caller decides how to police them (see
+    :func:`locate_domain_error`).  Unknown free variables raise immediately
+    at compile time.
     """
-    index = {name: i for i, name in enumerate(variables)}
-    missing = free_vars(expr) - set(index)
-    if missing:
-        raise UnboundVariableError(sorted(missing)[0])
-    body = _compile_node(expr, index)
+    init, steps, _, result = _lower(expr, variables)
 
     def compiled(*args: np.ndarray) -> np.ndarray:
+        slots = [*args, *init]
         with np.errstate(all="ignore"):
-            return np.asarray(body(args), dtype=float)
+            for fn, i, j, k in steps:
+                slots[k] = fn(slots[i]) if j < 0 else fn(slots[i], slots[j])
+        return np.asarray(slots[result], dtype=float)
 
     return compiled
-
-
-def _compile_node(expr: Expr, index: Mapping[str, int]):
-    if isinstance(expr, Const):
-        v = expr.value
-        return lambda args: v
-    if isinstance(expr, NamedConst):
-        v = _NAMED_VALUES[expr.name]
-        return lambda args: v
-    if isinstance(expr, Var):
-        i = index[expr.name]
-        return lambda args: args[i]
-    if isinstance(expr, Call):
-        inner = _compile_node(expr.arg, index)
-        fn = _NUMPY_FUNCTIONS[expr.fn]
-        return lambda args: fn(inner(args))
-    if isinstance(expr, BinOp):
-        lf = _compile_node(expr.left, index)
-        rf = _compile_node(expr.right, index)
-        op = expr.op
-        if op == "+":
-            return lambda args: lf(args) + rf(args)
-        if op == "-":
-            return lambda args: lf(args) - rf(args)
-        if op == "*":
-            return lambda args: lf(args) * rf(args)
-        if op == "/":
-            return lambda args: lf(args) / rf(args)
-        if op == "^":
-            return lambda args: np.power(lf(args), rf(args))
-    raise TypeError(f"not an expression node: {expr!r}")
 
 
 def locate_domain_error(
     expr: Expr,
     variables: Sequence[str],
     point: Iterable[float],
-) -> ExpressionError:
-    """Re-evaluate strictly at one point to recover the precise domain error.
+) -> None:
+    """Evaluate strictly at one point and raise its error, with every
+    coordinate of the point appended to the message.
 
-    Used by vectorised callers after spotting a non-finite entry.  If the
-    strict evaluation unexpectedly succeeds, a generic overflow error is
-    returned.  The message names every coordinate of the point.
+    Used by vectorised callers after spotting a non-finite kernel entry:
+    the strict run executes the kernel's program, so it raises there too.
     """
     bindings = dict(zip(variables, point))
     try:
         evaluate(expr, bindings)
-        exc: ExpressionError = DomainError("overflow", expr, math.nan)
-    except ExpressionError as raised:
-        exc = raised
-    where = ", ".join(f"{name}={value!r}" for name, value in bindings.items())
-    exc.args = (f"{exc} at {where}",)
-    return exc
+    except ExpressionError as exc:
+        where = ", ".join(f"{name}={value!r}" for name, value in bindings.items())
+        exc.args = (f"{exc} at {where}",)
+        raise

@@ -27,7 +27,6 @@ from .expressions import (
     BinOp,
     Call,
     Const,
-    DomainError,
     Expr,
     Var,
     compile_expr,
@@ -145,16 +144,12 @@ def require_domain_vars(domain: Domain, expr: Expr, what: str) -> None:
         )
 
 
-def checked_integrand(
-    kernel, expr: Expr, variables: tuple[str, ...], removable=frozenset()
-):
+def checked_integrand(kernel, expr: Expr, variables: tuple[str, ...]):
     """Wrap the compiled ``kernel`` of ``expr`` into a broadcasting integrand
     ``f(*coords)`` that polices non-finite points.
 
-    Each non-finite entry is re-evaluated strictly at its point.  Domain
-    errors whose kind is in ``removable`` are exact hits of a removable
-    singular set and become 0; any other error is raised, naming every
-    coordinate of the point.
+    The first non-finite entry is evaluated strictly at its point, which
+    raises the domain error there, naming every coordinate of the point.
     """
 
     def f(*coords):
@@ -163,21 +158,16 @@ def checked_integrand(
         out = np.broadcast_to(out, shape)
         finite = np.isfinite(out)
         if not finite.all():
-            out = out.copy()
-            for idx in map(tuple, np.argwhere(~finite)):
-                point = tuple(float(np.broadcast_to(c, shape)[idx]) for c in coords)
-                err = locate_domain_error(expr, variables, point)
-                if not (isinstance(err, DomainError) and err.kind in removable):
-                    raise err
-                out[idx] = 0.0
+            idx = tuple(np.argwhere(~finite)[0])
+            point = tuple(float(np.broadcast_to(c, shape)[idx]) for c in coords)
+            locate_domain_error(expr, variables, point)
         return out
 
     return f
 
 
 def compiled_integrand(expr: Expr, coords: tuple[str, str]):
-    """:func:`checked_integrand` of ``expr`` over domain coordinates, with no
-    removable points."""
+    """:func:`checked_integrand` of ``expr`` over domain coordinates."""
     return checked_integrand(compile_expr(expr, coords), expr, coords)
 
 
@@ -192,13 +182,7 @@ def density_mass(domain: Domain, rho: Expr, spec: QuadSpec | None = None) -> Qua
         spec,
         vectorized=True,
     )
-    kappa = domain.prefactor
-    return QuadResult(
-        kappa * result.value,
-        kappa * result.error_estimate,
-        result.n_evals,
-        result.converged,
-    )
+    return result.scaled(domain.prefactor)
 
 
 def check_mass(rho: Expr, mass: QuadResult) -> QuadResult:

@@ -131,8 +131,8 @@ class QuadSpec:
     max_evals: int | None = None
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise QuadratureError("tolerances must be positive")
+        if not (0.0 < self.abs_tol < np.inf and 0.0 < self.rel_tol < np.inf):
+            raise QuadratureError("tolerances must be positive and finite")
         if self.max_subdivisions < 1:
             raise QuadratureError("max_subdivisions must be >= 1")
         if self.max_evals is not None and self.max_evals < 15:
@@ -150,6 +150,14 @@ class QuadResult:
     error_estimate: float
     n_evals: int
     converged: bool
+
+    def scaled(self, factor: float) -> "QuadResult":
+        """The result of ``factor`` times the integrand."""
+        return replace(
+            self,
+            value=factor * self.value,
+            error_estimate=factor * self.error_estimate,
+        )
 
 
 class _Budget:
@@ -395,7 +403,12 @@ def _integrate(
             level = level.tightened(100.0)
         specs.append((level, level.tightened(10.0))[: len(group)])
     budget = _Budget(spec.max_evals)
-    value, err, ok = _iterated(_batched(f, vectorized), tuple(checked), specs, budget)
+    # panel sums may overflow on a divergent integrand; that shows as a
+    # non-finite estimate or value, not as a warning
+    with np.errstate(all="ignore"):
+        value, err, ok = _iterated(
+            _batched(f, vectorized), tuple(checked), specs, budget
+        )
     return QuadResult(value, err, budget.used, ok and not budget.exhausted)
 
 

@@ -341,6 +341,59 @@ def test_bessel_overflow_is_a_typed_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_divergent_bracket_prints_only_the_error(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "bracket", "--domain", "square", "--rho", "1", "--f", "ln(x)", "--h", "y",
+    )
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_overflowing_area_integrand_is_an_error(capsys):
+    # the density is about 1e45 near the poles: no point may be dropped
+    code, out, err = run_cli(
+        capsys,
+        "area", "--rho", "besseli0(800*cos(theta))/1e300", "--theta-map", "theta",
+        "--phi-map", "phi+t", "--s-lo", "1", "--s-hi", "1.1", "--t-lo", "1",
+        "--t-hi", "1.1", "--abs-tol", "1e-2", "--rel-tol", "1e-2",
+    )
+    assert code == 1 and out == ""
+    assert "overflow in 'besseli0(800*cos(theta))'" in err
+    assert all(f"{name}=" in err for name in ("s", "t", "phi", "theta"))
+
+
+def test_constant_division_by_zero_is_a_typed_error(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "bracket", "--domain", "square", "--rho", "x + 1/0", "--f", "x", "--h", "y",
+    )
+    assert code == 1 and out == ""
+    assert "division-by-zero in '1/0'" in err and "x=" in err and "y=" in err
+
+
+def test_infinite_tolerance_flag_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "bracket", "--domain", "square", "--rho", "1", "--f", "sin(7*x)", "--h", "y",
+        "--abs-tol", "1e400",
+    )
+    assert code == 1 and out == ""
+    assert "--abs-tol" in err
+
+
+def test_infinite_tolerance_key_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text(
+        "[row]\nkind = bracket\ndomain = square\nrho = 1\nf = sin(7*x)\nh = y\n"
+        "quad_abs_tol = 1e400\n"
+    )
+    code, out, err = run_cli(capsys, "table", str(cfg))
+    assert code == 1 and out == ""
+    assert "row.quad_abs_tol" in err
+
+
 @pytest.mark.parametrize("value", ["1e400", "2.5"])
 def test_integer_flags_are_checked(capsys, value):
     code, out, err = run_cli(

@@ -23,6 +23,7 @@ from densbrackets.expressions import (
     diff,
     evaluate,
     free_vars,
+    locate_domain_error,
     parse,
     simplify,
     substitute,
@@ -81,6 +82,7 @@ def test_parse_erf_spot_value():
         ("1..2", 2),
         ("x $ y", 2),
         ("", 0),
+        ("x + 1e400", 4),  # not a finite double
     ],
 )
 def test_parse_errors_carry_position(text, pos):
@@ -423,8 +425,47 @@ def test_compile_matches_evaluate():
         except Exception:
             continue
         got = float(np.asarray(f(np.array([x]), np.array([y]))).reshape(-1)[0])
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert got == want
         checked += 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_is_the_kernel_bit_for_bit():
+    # strict evaluation and the kernel run one program: where evaluate
+    # returns it gives the kernel's entry exactly, for contiguous, strided and
+    # broadcast inputs; where the kernel is not finite, evaluate raises
+    rng = random.Random(31)
+    returned = raised = 0
+    for _ in range(150):
+        e = random_expr(rng, 5, ("x", "y"))
+        f = compile_expr(e, ("x", "y"))
+        xs = np.array([rng.uniform(-3, 3) for _ in range(8)])[:, None]
+        ys = np.array([rng.uniform(-3, 3) for _ in range(16)])[None, ::2]
+        out = np.broadcast_to(f(xs, ys), (8, 8))
+        for (i, j), kernel_value in np.ndenumerate(out):
+            point = {"x": float(xs[i, 0]), "y": float(ys[0, j])}
+            if not np.isfinite(kernel_value):
+                with pytest.raises(DomainError):
+                    evaluate(e, point)
+                raised += 1
+                continue
+            try:
+                value = evaluate(e, point)
+            except DomainError:
+                raised += 1
+                continue
+            assert value.hex() == float(kernel_value).hex(), (to_text(e), point)
+            returned += 1
+    assert returned > 4000 and raised > 500
+
+
+def test_locate_domain_error_names_the_overflowing_call():
+    with pytest.raises(DomainError) as err:
+        locate_domain_error(parse("2*besseli0(x)"), ("x",), (713.0,))
+    assert err.value.kind == "overflow"
+    assert err.value.subexpr == parse("besseli0(x)")
+    assert err.value.value == 713.0
+    assert str(err.value).endswith(" at x=713.0")
 
 
 def test_compile_broadcasts():

@@ -101,6 +101,10 @@ def test_spec_validation():
     with pytest.raises(QuadratureError):
         QuadSpec(abs_tol=0.0)
     with pytest.raises(QuadratureError):
+        QuadSpec(abs_tol=math.inf)
+    with pytest.raises(QuadratureError):
+        QuadSpec(rel_tol=math.nan)
+    with pytest.raises(QuadratureError):
         QuadSpec(max_subdivisions=0)
     with pytest.raises(QuadratureError):
         QuadSpec(max_evals=14)
