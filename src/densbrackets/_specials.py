@@ -6,7 +6,7 @@ shape (a 0-d array or a float is one point):
 
 * ``erf_array`` -- Maclaurin series for |x| <= 2, Laplace continued fraction
   for the complementary function elsewhere.  Absolute error <= 1e-14 on the
-  real line.
+  real line; erf(+-inf) = +-1.
 * ``besseli0_array`` / ``besseli1_array`` -- ascending power series with the
   summation cut off once every term ratio drops below 1e-17; an entry's
   value does not depend on the other entries.  The series overflows from
@@ -49,7 +49,10 @@ def erf_array(x: np.ndarray) -> np.ndarray:
             total += term / (2 * n + 1)
         out[small] = _TWO_OVER_SQRT_PI * total
 
-    big = ~small
+    # erfc(inf) = 0; the continued fraction would form inf * 0 there
+    infinite = np.isinf(ax)
+    out[infinite] = 1.0
+    big = ~(small | infinite)
     if np.any(big):
         xb = ax[big]
         tiny = 1e-300

@@ -2,7 +2,8 @@
 
 Every command writes exactly one JSON document to stdout (JSON lines for
 ``table``); diagnostics go to stderr.  Exit codes: 0 success, 1 input error,
-2 ran but did not converge (or, for ``table``, not all jobs passed).
+2 ran but did not converge: no usable mass, a likely divergent integral, or
+(for ``table``) not all jobs passed.
 
 Numeric flags accept expressions without free variables, so ``--s-lo pi/4``
 works; integer flags and keys must evaluate to a finite integer.  Expression
@@ -68,7 +69,7 @@ from .geometry import (
     domain_by_name,
     normalize,
 )
-from .quadrature import QuadSpec, QuadratureError
+from .quadrature import DivergentIntegralError, QuadSpec, QuadratureError
 
 __all__ = ["main", "run_bracket", "run_area", "run_table"]
 
@@ -364,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NormalizationError as exc:
+    except (NormalizationError, DivergentIntegralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ExpressionError, GeometryError, QuadratureError) as exc:

@@ -22,7 +22,7 @@ from densbrackets.expressions import (
     to_text,
 )
 from densbrackets.geometry import GeometryError, SPHERE, normalize
-from densbrackets.quadrature import QuadSpec
+from densbrackets.quadrature import _BLOCK_ROWS, QuadSpec
 
 from conftest import assert_value_equal
 from oracles import (
@@ -269,6 +269,46 @@ def test_area_budget_exhaustion_flags_nonconvergence():
     r = area(p, QuadSpec(abs_tol=1e-7, rel_tol=1e-7, max_evals=200_000))
     assert not r.converged
     assert math.isfinite(r.value)
+
+
+def test_area_budget_in_the_first_outer_round_still_estimates():
+    # The paper's patch converges in one outer (s, t) round, so the budget
+    # runs out while that round's 15 x 15 outer points fan out.  The round
+    # in flight of one block finishes (see the 4-d budget test in
+    # test_quadrature), and as no level has an estimate to fall back on yet,
+    # each outer point that has not started takes its first inner panel
+    # (15 x 15 points and 15 results).
+    one_round = _BLOCK_ROWS * (30 * 30 + 30) + 30 * 30 + 30
+    first_panels = 15 * 15 * (15 * 15 + 15)
+    for max_evals in (20_000, 1_000_000, 5_000_000):
+        r = area(_gauss_problem("literal"), QuadSpec(1e-3, 1e-3, max_evals=max_evals))
+        assert not r.converged and math.isfinite(r.value)
+        assert max_evals <= r.n_evals <= max_evals + one_round + first_panels
+
+
+# Taken from the parent commit's iterated driver, which ran the inner
+# integrals of the outer points one after another; the lockstep core must
+# take the same bisections.
+@pytest.mark.parametrize(
+    "flow, mode, value, error, n_evals",
+    [
+        (ARCCOS_FLOW, "literal", 3.300787785226348, 0.0015203314003615592, 3767280),
+        (ROTATION, "measure", 2.467200276087167, 0.0018975307404407143, 6545040),
+    ],
+)
+def test_area_matches_the_per_point_driver(flow, mode, value, error, n_evals):
+    problem = AreaProblem(
+        rho=GAUSSIAN_NORMALIZED,
+        flow=flow,
+        s_interval=QUARTER,
+        t_interval=QUARTER,
+        weight_mode=mode,
+    )
+    r = area(problem, QuadSpec(abs_tol=0.1, rel_tol=0.1))
+    assert r.converged
+    assert r.n_evals == n_evals
+    assert r.value == pytest.approx(value, rel=1e-13)
+    assert r.error_estimate == pytest.approx(error, rel=1e-13)
 
 
 # -- validation and domain errors --------------------------------------------------

@@ -343,12 +343,27 @@ def test_bessel_overflow_is_a_typed_error(capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_divergent_bracket_prints_only_the_error(capsys):
+    # the inner y-integral of 1/x overflows near x = 0: a divergent bracket
+    # ends as non-converged with the whole (x, y) point, not a traceback
     code, out, err = run_cli(
         capsys,
         "bracket", "--domain", "square", "--rho", "1", "--f", "ln(x)", "--h", "y",
     )
-    assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: integral is not finite near (")
+    assert err.rstrip().endswith("(likely divergent)")
+    x, y = map(float, err[err.index("(") + 1 : err.index(")")].split(","))
+    assert 0.0 < x < 1e-300 and y == 0.5
+
+
+def test_divergent_table_row_fails(tmp_path, capsys):
+    code, row = _one_row_table(
+        tmp_path, capsys, "kind = bracket\ndomain = square\nrho = 1\nf = ln(x)\nh = y\n"
+    )
+    assert code == 2
+    assert "likely divergent" in row["error"]
+    assert row["pass"] is False and row["converged"] is False
 
 
 def test_overflowing_area_integrand_is_an_error(capsys):

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from densbrackets.quadrature import (
+    _BLOCK_ROWS,
+    DivergentIntegralError,
     NonFiniteIntegrandError,
     QuadSpec,
     QuadratureError,
@@ -228,6 +231,19 @@ def test_nonfinite_point_has_every_coordinate():
     assert s + v > 1.5 and 0.0 < t < 1.0 and 0.0 < u < 1.0
 
 
+def test_divergent_integral_reports_every_coordinate():
+    # every value 1/x is finite, but near x = 0 the inner y-panel sums overflow
+    with pytest.raises(DivergentIntegralError) as err:
+        integrate_2d(lambda x, y: 1.0 / x + 0.0 * y, ((0, 1), (0, 1)), vectorized=True)
+    assert not isinstance(err.value, NonFiniteIntegrandError)
+    assert "likely divergent" in str(err.value)
+    x, y = err.value.point  # the outer x and the midpoint of the inner panel
+    assert 0.0 < x < 1e-300 and y == 0.5
+    with pytest.raises(DivergentIntegralError) as err:
+        integrate_1d(lambda x: 1e308, 0.0, 10.0)
+    assert err.value.point == (5.0,)
+
+
 # -- 2-d ---------------------------------------------------------------------------
 
 
@@ -301,3 +317,27 @@ def test_4d_budget_marks_nonconverged():
     )
     assert not r.converged
     assert math.isfinite(r.value)
+
+
+def test_4d_budget_stops_after_the_round_in_flight():
+    # Once the budget is out, no level starts another round.  The overshoot is
+    # the round in flight of one block of inner rows: its kernel call (at most
+    # _BLOCK_ROWS x 30 x 30 points) and the _BLOCK_ROWS x 30 inner results it
+    # yields, plus the outer (s, t) results of the outer rounds it belongs to
+    # (30 x 30 + 30).  An outer split round that is not complete is dropped.
+    one_round = _BLOCK_ROWS * (30 * 30 + 30) + 30 * 30 + 30
+    box = ((0.0, 1.0), (0.0, 1.0))
+
+    def f(s, t, u, v):
+        return np.sqrt(np.abs(s - 1 / 3)) * np.cos(u * v) + t
+
+    spec = QuadSpec(abs_tol=1e-6, rel_tol=1e-6)
+    full = integrate_4d(f, box, box, spec, vectorized=True)
+    assert full.converged and full.n_evals == 922080
+    for max_evals in (276624, 461040, 645456, 829872):
+        r = integrate_4d(f, box, box, replace(spec, max_evals=max_evals), vectorized=True)
+        assert not r.converged and math.isfinite(r.value)
+        assert max_evals <= r.n_evals <= max_evals + one_round
+        # the estimate of the last complete outer round
+        assert r.value == pytest.approx(full.value, abs=1e-3)
+

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,3 +80,13 @@ def test_bessel_arrays_overflow_to_inf():
     assert np.all(np.isfinite(i0[:3])) and np.all(np.isfinite(i1[:3]))
     assert np.all(i0[3:] == np.inf)
     assert list(i1[3:]) == [np.inf, -np.inf, np.inf, np.inf]
+
+
+def test_erf_at_infinity_without_warnings():
+    x = np.array([np.inf, -np.inf, 0.3, -2.5, 7.0, -40.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = erf(x)
+    assert list(out[:2]) == [1.0, -1.0]
+    # finite entries are the ones computed without the infinities
+    np.testing.assert_array_equal(out[2:], erf(x[2:]))
