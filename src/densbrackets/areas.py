@@ -25,37 +25,40 @@ principal domain; :func:`pullback_density` therefore runs the rationalizing
 rewrites of :func:`densbrackets.expressions.simplify` so that even powers of
 ``sin(arccos(...))`` become polynomial and the integrand is real away from a
 measure-zero set of removable points.  Quadrature nodes are interior and do
-not hit that set in the shipped problems.  Every non-finite integrand value
-is an error, as for masses and brackets: a division by zero, an overflow, a
-surviving square root of a negative quantity or a logarithm of a
-non-positive value aborts with the offending subexpression and all four
-coordinates of the point reported.
+not hit that set in the shipped problems.  The compiled kernel of the
+integrand goes straight into the quadrature, and every non-finite value is
+an error, as for masses and brackets: the quadrature leaf reports the point
+and :func:`densbrackets.geometry.compiled_kernel` re-evaluates it strictly.
+A division by zero, an overflow, a surviving square root of a negative
+quantity or a logarithm of a non-positive value aborts with the offending
+subexpression and all four coordinates of the point reported, the fixed
+``(s, t)`` of :func:`inner_bracket` included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 from .expressions import (
     BinOp,
     Call,
     Expr,
     Var,
-    compile_expr,
+    compile_expr,  # noqa: F401 -- benchmarks/tracing.py wraps areas.compile_expr
     free_vars,
     simplify,
     substitute,
     to_text,
 )
-from .geometry import SPHERE, GeometryError, checked_integrand
+from .geometry import SPHERE, GeometryError, compiled_kernel
 from .quadrature import QuadResult, QuadSpec, integrate_2d, integrate_4d
 
 __all__ = [
     "FlowMap",
     "AreaProblem",
     "WEIGHT_MODES",
+    "DEFAULT_TOL",
     "DEFAULT_EVAL_BUDGET",
     "pullback_density",
     "area",
@@ -64,7 +67,9 @@ __all__ = [
 
 WEIGHT_MODES = ("measure", "literal")
 
-# Default cap on integrand evaluations for a 4-d run.
+# Default tolerance (absolute and relative) of a 4-d run, looser than the
+# 2-d default, and default cap on its integrand evaluations.
+DEFAULT_TOL = 1e-7
 DEFAULT_EVAL_BUDGET = 5_000_000_000
 
 # Driver order: outer (s, t), inner (phi, theta) with theta innermost.
@@ -144,17 +149,9 @@ def _integrand_expr(problem: AreaProblem) -> Expr:
     return pulled
 
 
-def _area_integrand(problem: AreaProblem):
-    """The policed area integrand ``f(s, t, phi, theta)``, in driver order."""
-    expr = _integrand_expr(problem)
-    kernel = compile_expr(expr, _VARS)
-    return checked_integrand(kernel, expr, _VARS)
-
-
 def _default_spec(spec: QuadSpec | None) -> QuadSpec:
-    # 4-d default: looser outer tolerance than the 2-d default, plus a budget.
     if spec is None:
-        spec = QuadSpec(abs_tol=1e-7, rel_tol=1e-7)
+        spec = QuadSpec(abs_tol=DEFAULT_TOL, rel_tol=DEFAULT_TOL)
     if spec.max_evals is None:
         spec = replace(spec, max_evals=DEFAULT_EVAL_BUDGET)
     return spec
@@ -171,14 +168,14 @@ def area(problem: AreaProblem, spec: QuadSpec | None = None) -> QuadResult:
     """
     problem.validate()
     spec = _default_spec(spec)
-    f = _area_integrand(problem)
-    result = integrate_4d(
-        f,
-        (problem.s_interval, problem.t_interval),
-        (_PHI_BOX, _THETA_BOX),
-        spec,
-        vectorized=True,
-    )
+    with compiled_kernel(_integrand_expr(problem), _VARS) as kernel:
+        result = integrate_4d(
+            kernel,
+            (problem.s_interval, problem.t_interval),
+            (_PHI_BOX, _THETA_BOX),
+            spec,
+            vectorized=True,
+        )
     return result.scaled(SPHERE.prefactor)
 
 
@@ -200,10 +197,7 @@ def inner_bracket(
             f"{problem.s_interval!r} x {problem.t_interval!r}"
         )
     spec = spec or QuadSpec()
-    result = integrate_2d(
-        partial(_area_integrand(problem), float(s), float(t)),
-        (_PHI_BOX, _THETA_BOX),
-        spec,
-        vectorized=True,
-    )
+    fixed = (float(s), float(t))
+    with compiled_kernel(_integrand_expr(problem), _VARS, fixed) as kernel:
+        result = integrate_2d(kernel, (_PHI_BOX, _THETA_BOX), spec, vectorized=True)
     return result.scaled(SPHERE.prefactor)

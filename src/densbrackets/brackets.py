@@ -20,7 +20,7 @@ from .expressions import BinOp, Const, Expr, diff, simplify
 from .geometry import (
     Domain,
     check_mass,
-    compiled_integrand,
+    compiled_kernel,
     density_mass,
     require_domain_vars,
 )
@@ -103,16 +103,12 @@ def bracket(problem: BracketProblem, spec: QuadSpec | None = None) -> BracketRes
         )
 
     integrand = build_integrand(effective)
-    result = integrate_2d(
-        compiled_integrand(integrand, problem.domain.coords),
-        problem.domain.box,
-        spec,
-        vectorized=True,
-    )
-    kappa = problem.domain.prefactor
+    with compiled_kernel(integrand, problem.domain.coords) as kernel:
+        result = integrate_2d(kernel, problem.domain.box, spec, vectorized=True)
+    result = result.scaled(problem.domain.prefactor)
     return BracketResult(
-        value=kappa * result.value,
-        error_estimate=kappa * result.error_estimate,
+        value=result.value,
+        error_estimate=result.error_estimate,
         n_evals=result.n_evals + mass_evals,
         converged=result.converged,
         normalization_constant=norm_const,

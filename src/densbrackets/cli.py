@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from . import __version__
-from .areas import AreaProblem, FlowMap, WEIGHT_MODES, area
+from .areas import DEFAULT_TOL, AreaProblem, FlowMap, WEIGHT_MODES, area
 from .brackets import BracketProblem, bracket
 from .expressions import Expr, ExpressionError, evaluate, parse
 from .geometry import (
@@ -71,7 +71,7 @@ from .geometry import (
 )
 from .quadrature import DivergentIntegralError, QuadSpec, QuadratureError
 
-__all__ = ["main", "run_bracket", "run_area", "run_table"]
+__all__ = ["main", "run_table"]
 
 
 class CliInputError(Exception):
@@ -120,17 +120,18 @@ def _build_parser() -> _Parser:
 
     b = sub.add_parser("bracket", help="Poisson bracket of two functionals")
     b.add_argument("--domain", required=True, choices=["square", "torus", "sphere"])
-    b.add_argument("--tau", default="1", help="conformal factor expression")
+    b.add_argument("--tau", help="conformal factor expression")
     b.add_argument("--rho", required=True, help="density expression")
     b.add_argument("--f", required=True, help="first function expression")
     b.add_argument("--h", required=True, help="second function expression")
-    b.add_argument("--abs-tol", default="1e-10")
-    b.add_argument("--rel-tol", default="1e-10")
-    b.add_argument("--max-subdivisions", default="2000")
+    b.add_argument("--abs-tol")
+    b.add_argument("--rel-tol")
+    b.add_argument("--max-subdivisions")
     b.add_argument(
         "--no-normalize",
         dest="normalize",
         action="store_false",
+        default=None,
         help="integrate the density as given instead of rescaling to mass 1",
     )
 
@@ -142,11 +143,11 @@ def _build_parser() -> _Parser:
     a.add_argument("--s-hi", required=True)
     a.add_argument("--t-lo", required=True)
     a.add_argument("--t-hi", required=True)
-    a.add_argument("--weight-mode", default="measure", choices=list(WEIGHT_MODES))
-    a.add_argument("--abs-tol", default="1e-7")
-    a.add_argument("--rel-tol", default="1e-7")
-    a.add_argument("--max-subdivisions", default="2000")
-    a.add_argument("--max-evals", default=None)
+    a.add_argument("--weight-mode", choices=list(WEIGHT_MODES))
+    a.add_argument("--abs-tol")
+    a.add_argument("--rel-tol")
+    a.add_argument("--max-subdivisions")
+    a.add_argument("--max-evals")
 
     t = sub.add_parser("table", help="run a batch config, one JSON line per job")
     t.add_argument("config", help="path to an INI-style job file")
@@ -201,11 +202,16 @@ def _build_job(label: str, section, where: Callable[[str], str] | None = None) -
     def expr(key: str, default: str | None = None) -> Expr:
         return _parse_expr(text(key, default), where(key))
 
-    def number(key: str, default: str | None = None) -> float:
-        return _parse_number(text(key, default), where(key))
+    # number and integer keys return a default as it is when absent
+    def number(key: str, default: float | None = None) -> float:
+        if default is not None and section.get(key) is None:
+            return default
+        return _parse_number(text(key), where(key))
 
-    def integer(key: str, default: str | None = None) -> int:
-        return _parse_int(text(key, default), where(key))
+    def integer(key: str, default: int | None = None) -> int:
+        if default is not None and section.get(key) is None:
+            return default
+        return _parse_int(text(key), where(key))
 
     kind = text("kind")
     if kind not in _JOB_KINDS:
@@ -213,16 +219,19 @@ def _build_job(label: str, section, where: Callable[[str], str] | None = None) -
             f"job '{label}' has unknown kind {kind!r}; expected one of {_JOB_KINDS}"
         )
     expected = None if section.get("expected") is None else number("expected")
-    tol_abs = number("tol_abs", "0")
-    tol_rel = number("tol_rel", "0")
-    default_tol = "1e-07" if kind == "area" else "1e-10"
+    tol_abs = number("tol_abs", 0.0)
+    tol_rel = number("tol_rel", 0.0)
+    if kind == "area":
+        default = QuadSpec(abs_tol=DEFAULT_TOL, rel_tol=DEFAULT_TOL)
+    else:
+        default = QuadSpec()
     max_evals = None
     if kind == "area" and section.get("quad_max_evals") is not None:
         max_evals = integer("quad_max_evals")
     spec = QuadSpec(
-        abs_tol=number("quad_abs_tol", default_tol),
-        rel_tol=number("quad_rel_tol", default_tol),
-        max_subdivisions=integer("quad_max_subdivisions", "2000"),
+        abs_tol=number("quad_abs_tol", default.abs_tol),
+        rel_tol=number("quad_rel_tol", default.rel_tol),
+        max_subdivisions=integer("quad_max_subdivisions", default.max_subdivisions),
         max_evals=max_evals,
     )
 
@@ -310,9 +319,6 @@ def _run_command(args: argparse.Namespace) -> int:
         payload["area"] = payload.pop("value")
     _emit(payload)
     return 0 if payload["converged"] else 2
-
-
-run_bracket = run_area = _run_command
 
 
 def load_jobs(path: str) -> list[_Job]:

@@ -40,7 +40,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,14 +65,9 @@ __all__ = [
     "free_vars",
     "to_text",
     "compile_expr",
-    "var",
-    "num",
-    "func",
     "PI",
     "E",
 ]
-
-Numeric = Union[int, float]
 
 # -- errors -----------------------------------------------------------------
 
@@ -113,42 +108,9 @@ class DomainError(ExpressionError):
 
 
 class Expr:
-    """Base class of expression nodes; supports operator-overloaded building."""
+    """Base class of expression nodes."""
 
     __slots__ = ()
-
-    def __add__(self, other):
-        return BinOp("+", self, _coerce(other))
-
-    def __radd__(self, other):
-        return BinOp("+", _coerce(other), self)
-
-    def __sub__(self, other):
-        return BinOp("-", self, _coerce(other))
-
-    def __rsub__(self, other):
-        return BinOp("-", _coerce(other), self)
-
-    def __mul__(self, other):
-        return BinOp("*", self, _coerce(other))
-
-    def __rmul__(self, other):
-        return BinOp("*", _coerce(other), self)
-
-    def __truediv__(self, other):
-        return BinOp("/", self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return BinOp("/", _coerce(other), self)
-
-    def __pow__(self, other):
-        return BinOp("^", self, _coerce(other))
-
-    def __rpow__(self, other):
-        return BinOp("^", _coerce(other), self)
-
-    def __neg__(self):
-        return BinOp("-", Const(0.0), self)
 
     def __str__(self):
         return to_text(self)
@@ -208,28 +170,6 @@ FUNCTIONS = (
 # Names reachable only through differentiation; parsed for round-trips.
 _INTERNAL_FUNCTIONS = ("besseli1", "sign")
 _ALL_FUNCTIONS = frozenset(FUNCTIONS) | frozenset(_INTERNAL_FUNCTIONS)
-
-
-def _coerce(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, (int, float)):
-        return Const(float(value))
-    raise TypeError(f"cannot use {value!r} as an expression operand")
-
-
-def var(name: str) -> Var:
-    return Var(name)
-
-
-def num(value: Numeric) -> Const:
-    return Const(float(value))
-
-
-def func(name: str, arg) -> Call:
-    if name not in _ALL_FUNCTIONS:
-        raise ValueError(f"unknown function '{name}'")
-    return Call(name, _coerce(arg))
 
 
 # -- parser -----------------------------------------------------------------

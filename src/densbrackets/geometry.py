@@ -14,12 +14,21 @@ A probability density on a domain is a positive expression ``rho`` in the
 domain coordinates with ``prefactor * integral(rho * weight) = 1``.  Stated
 normalization constants are never trusted: :func:`density_mass` recomputes
 the total mass and :func:`normalize` rescales by it.
+
+Every front end (masses here, brackets and areas) hands the compiled kernel
+of its integrand straight to the quadrature, inside :func:`compiled_kernel`.
+The quadrature leaf makes the one finiteness check per kernel call; the
+context turns the non-finite point it reports into the strict
+:class:`~densbrackets.expressions.DomainError` there, with every coordinate.
+:func:`check_positive` runs no quadrature and checks its own lattice.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +44,7 @@ from .expressions import (
     simplify,
     to_text,
 )
-from .quadrature import QuadResult, QuadSpec, integrate_2d
+from .quadrature import NonFiniteIntegrandError, QuadResult, QuadSpec, integrate_2d
 
 __all__ = [
     "Domain",
@@ -144,31 +153,25 @@ def require_domain_vars(domain: Domain, expr: Expr, what: str) -> None:
         )
 
 
-def checked_integrand(kernel, expr: Expr, variables: tuple[str, ...]):
-    """Wrap the compiled ``kernel`` of ``expr`` into a broadcasting integrand
-    ``f(*coords)`` that polices non-finite points.
+@contextmanager
+def compiled_kernel(
+    expr: Expr, variables: tuple[str, ...], fixed: tuple[float, ...] = ()
+):
+    """Compile ``expr`` over ``variables`` and yield the kernel, with the
+    leading variables bound to ``fixed``.
 
-    The first non-finite entry is evaluated strictly at its point, which
-    raises the domain error there, naming every coordinate of the point.
+    The quadrature leaf makes the one finiteness check of each kernel call
+    and raises :class:`NonFiniteIntegrandError` at the first non-finite
+    point.  Leaving the block with it evaluates ``expr`` strictly at that
+    point, fixed coordinates first, which raises the domain error there,
+    naming every coordinate of the point.
     """
-
-    def f(*coords):
-        out = np.asarray(kernel(*coords), dtype=float)
-        shape = np.broadcast_shapes(*map(np.shape, coords))
-        out = np.broadcast_to(out, shape)
-        finite = np.isfinite(out)
-        if not finite.all():
-            idx = tuple(np.argwhere(~finite)[0])
-            point = tuple(float(np.broadcast_to(c, shape)[idx]) for c in coords)
-            locate_domain_error(expr, variables, point)
-        return out
-
-    return f
-
-
-def compiled_integrand(expr: Expr, coords: tuple[str, str]):
-    """:func:`checked_integrand` of ``expr`` over domain coordinates."""
-    return checked_integrand(compile_expr(expr, coords), expr, coords)
+    kernel = compile_expr(expr, variables)
+    try:
+        yield partial(kernel, *fixed) if fixed else kernel
+    except NonFiniteIntegrandError as exc:
+        locate_domain_error(expr, variables, fixed + exc.point)
+        raise
 
 
 def density_mass(domain: Domain, rho: Expr, spec: QuadSpec | None = None) -> QuadResult:
@@ -176,12 +179,8 @@ def density_mass(domain: Domain, rho: Expr, spec: QuadSpec | None = None) -> Qua
     require_domain_vars(domain, rho, "density")
     spec = spec or QuadSpec()
     integrand = simplify(BinOp("*", rho, domain.weight))
-    result = integrate_2d(
-        compiled_integrand(integrand, domain.coords),
-        domain.box,
-        spec,
-        vectorized=True,
-    )
+    with compiled_kernel(integrand, domain.coords) as kernel:
+        result = integrate_2d(kernel, domain.box, spec, vectorized=True)
     return result.scaled(domain.prefactor)
 
 
@@ -227,8 +226,13 @@ def check_positive(domain: Domain, rho: Expr, n: int) -> PositivityReport:
     steps = (np.arange(1, n + 1)) / (n + 1)
     us = ulo + (uhi - ulo) * steps
     vs = vlo + (vhi - vlo) * steps
-    f = compiled_integrand(rho, domain.coords)
-    values = f(us[:, None], vs[None, :])
+    values = np.broadcast_to(
+        compile_expr(rho, domain.coords)(us[:, None], vs[None, :]), (n, n)
+    )
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i, j = bad[0]
+        locate_domain_error(rho, domain.coords, (float(us[i]), float(vs[j])))
     negative = values < 0.0
     zero = values == 0.0
     n_negative = int(np.count_nonzero(negative))

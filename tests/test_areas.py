@@ -15,6 +15,7 @@ from densbrackets.areas import (
     pullback_density,
 )
 from densbrackets.expressions import (
+    DomainError,
     ExpressionError,
     Var,
     evaluate,
@@ -366,3 +367,17 @@ def test_surviving_sqrt_domain_error_identifies_node():
         area(p, QuadSpec(abs_tol=1e-3, rel_tol=1e-3))
     for name in ("theta=", "phi=", "s=", "t="):
         assert name in str(err.value)
+    # inner_bracket: the quadrature reports the (phi, theta) point, and the
+    # fixed (s, t) lead the coordinates of the domain error
+    p = AreaProblem(
+        rho=parse("sqrt(theta - 1)"),
+        flow=IDENTITY,
+        s_interval=QUARTER,
+        t_interval=QUARTER,
+    )
+    with pytest.raises(DomainError) as err:
+        inner_bracket(p, 1.0, 1.0)
+    assert err.value.kind == "sqrt-negative"
+    message = str(err.value)
+    assert " at s=1.0, t=1.0, phi=" in message
+    assert message.index("phi=") < message.index("theta=")

@@ -182,3 +182,11 @@ def test_check_positive_gaussian_sphere():
 def test_check_positive_needs_lattice():
     with pytest.raises(GeometryError):
         check_positive(SQUARE, parse("1"), 1)
+
+
+def test_check_positive_reports_domain_error_at_lattice_point():
+    # the 3 x 3 lattice has x = 1/2 on its middle column
+    with pytest.raises(DomainError) as err:
+        check_positive(SQUARE, parse("1/(x - 1/2)"), 3)
+    assert err.value.kind == "division-by-zero"
+    assert " at x=0.5, y=0.25" in str(err.value)
