@@ -29,7 +29,6 @@ from .quadrature import (
     QuadResult,
     QuadSpec,
     QuadratureError,
-    integrate_1d,
     integrate_2d,
     integrate_4d,
 )
@@ -42,7 +41,6 @@ from .geometry import (
     SPHERE,
     SQUARE,
     TORUS,
-    check_positive,
     density_mass,
     domain_by_name,
     normalize,
@@ -72,7 +70,6 @@ __all__ = [
     "QuadSpec",
     "QuadResult",
     "QuadratureError",
-    "integrate_1d",
     "integrate_2d",
     "integrate_4d",
     # geometry
@@ -87,7 +84,6 @@ __all__ = [
     "domain_by_name",
     "density_mass",
     "normalize",
-    "check_positive",
     # brackets / areas
     "BracketProblem",
     "BracketResult",

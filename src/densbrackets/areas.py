@@ -174,7 +174,6 @@ def area(problem: AreaProblem, spec: QuadSpec | None = None) -> QuadResult:
             (problem.s_interval, problem.t_interval),
             (_PHI_BOX, _THETA_BOX),
             spec,
-            vectorized=True,
         )
     return result.scaled(SPHERE.prefactor)
 
@@ -199,5 +198,5 @@ def inner_bracket(
     spec = spec or QuadSpec()
     fixed = (float(s), float(t))
     with compiled_kernel(_integrand_expr(problem), _VARS, fixed) as kernel:
-        result = integrate_2d(kernel, (_PHI_BOX, _THETA_BOX), spec, vectorized=True)
+        result = integrate_2d(kernel, (_PHI_BOX, _THETA_BOX), spec)
     return result.scaled(SPHERE.prefactor)

@@ -104,7 +104,7 @@ def bracket(problem: BracketProblem, spec: QuadSpec | None = None) -> BracketRes
 
     integrand = build_integrand(effective)
     with compiled_kernel(integrand, problem.domain.coords) as kernel:
-        result = integrate_2d(kernel, problem.domain.box, spec, vectorized=True)
+        result = integrate_2d(kernel, problem.domain.box, spec)
     result = result.scaled(problem.domain.prefactor)
     return BracketResult(
         value=result.value,

@@ -20,7 +20,8 @@ of its integrand straight to the quadrature, inside :func:`compiled_kernel`.
 The quadrature leaf makes the one finiteness check per kernel call; the
 context turns the non-finite point it reports into the strict
 :class:`~densbrackets.expressions.DomainError` there, with every coordinate.
-:func:`check_positive` runs no quadrature and checks its own lattice.
+Positivity of ``rho`` is a precondition on the caller's input; nothing here
+samples its sign.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
 
 from .expressions import (
     BinOp,
@@ -49,7 +48,6 @@ from .quadrature import NonFiniteIntegrandError, QuadResult, QuadSpec, integrate
 __all__ = [
     "Domain",
     "Density",
-    "PositivityReport",
     "GeometryError",
     "NormalizationError",
     "SQUARE",
@@ -59,7 +57,6 @@ __all__ = [
     "domain_by_name",
     "density_mass",
     "normalize",
-    "check_positive",
 ]
 
 
@@ -127,23 +124,6 @@ class Density:
     scale: QuadResult | None = None
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    """Sign audit of a density on an interior lattice.
-
-    Exact zeros are reported but do not flip ``ok``: in double arithmetic a
-    sharply decaying positive density (e.g. exp of a large negative number)
-    underflows to +0.0, which is not evidence of a sign violation.  Only
-    strictly negative samples are.
-    """
-
-    ok: bool
-    n: int
-    n_negative: int
-    n_zero: int
-    samples: tuple[tuple[float, float, float], ...]  # offending (u, v, value)
-
-
 def require_domain_vars(domain: Domain, expr: Expr, what: str) -> None:
     extra = free_vars(expr) - set(domain.coords)
     if extra:
@@ -180,7 +160,7 @@ def density_mass(domain: Domain, rho: Expr, spec: QuadSpec | None = None) -> Qua
     spec = spec or QuadSpec()
     integrand = simplify(BinOp("*", rho, domain.weight))
     with compiled_kernel(integrand, domain.coords) as kernel:
-        result = integrate_2d(kernel, domain.box, spec, vectorized=True)
+        result = integrate_2d(kernel, domain.box, spec)
     return result.scaled(domain.prefactor)
 
 
@@ -216,35 +196,3 @@ def normalize(domain: Domain, rho: Expr, spec: QuadSpec | None = None) -> Densit
     check = density_mass(domain, scaled, spec)
     return Density(expr=scaled, mass=check, scale=scale)
 
-
-def check_positive(domain: Domain, rho: Expr, n: int) -> PositivityReport:
-    """Sample ``rho`` on an n x n interior lattice and report non-positive points."""
-    if n < 2:
-        raise GeometryError("positivity lattice needs n >= 2")
-    require_domain_vars(domain, rho, "density")
-    (ulo, uhi), (vlo, vhi) = domain.box
-    steps = (np.arange(1, n + 1)) / (n + 1)
-    us = ulo + (uhi - ulo) * steps
-    vs = vlo + (vhi - vlo) * steps
-    values = np.broadcast_to(
-        compile_expr(rho, domain.coords)(us[:, None], vs[None, :]), (n, n)
-    )
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        i, j = bad[0]
-        locate_domain_error(rho, domain.coords, (float(us[i]), float(vs[j])))
-    negative = values < 0.0
-    zero = values == 0.0
-    n_negative = int(np.count_nonzero(negative))
-    n_zero = int(np.count_nonzero(zero))
-    samples = []
-    for mask in (negative, zero):
-        for (i, j) in np.argwhere(mask)[: 16 - len(samples)]:
-            samples.append((float(us[i]), float(vs[j]), float(values[i, j])))
-    return PositivityReport(
-        ok=n_negative == 0,
-        n=n,
-        n_negative=n_negative,
-        n_zero=n_zero,
-        samples=tuple(samples),
-    )

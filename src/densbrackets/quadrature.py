@@ -1,4 +1,4 @@
-"""Deterministic adaptive Gauss-Kronrod quadrature in 1, 2 and 4 dimensions.
+"""Deterministic adaptive Gauss-Kronrod quadrature in 2 and 4 dimensions.
 
 The only rule is the embedded G7/K15 pair.  One axis is integrated by
 globally adaptive bisection: the interval with the largest local error
@@ -14,13 +14,13 @@ partition in flat arrays (panel edges, values, errors and priorities); each
 round, every unconverged row bisects its own worst panel, exactly as a
 one-row driver would, and the new nodes of all rows go to the integrand in
 one call.  A row's numbers therefore do not depend on the other rows of its
-block.  The 1-d integral is one row.  The axes of a pair are nested: the
-inner axis is integrated for all nodes of an outer panel at once, with its
-tolerance tightened by 10.  A further group (the inner pair of the 4-d case)
-is integrated for every point of the outer group, at 100x tighter tolerance;
-these inner integrals run as the rows of blocks of ``_BLOCK_ROWS``.  The
-error estimate of an iterated integral is the outer ``|G - K|`` sum plus a
-Kronrod-weighted bound on the accumulated inner error.  Kronrod nodes are
+block.  The axes of a pair are nested: the inner axis is integrated for all
+nodes of an outer panel at once, with its tolerance tightened by 10.  A
+further group (the inner pair of the 4-d case) is integrated for every point
+of the outer group, at 100x tighter tolerance; these inner integrals run as
+the rows of blocks of ``_BLOCK_ROWS``.  The error estimate of an iterated
+integral is the outer ``|G - K|`` sum plus a Kronrod-weighted bound on the
+accumulated inner error.  Kronrod nodes are
 strictly interior, so integrands defined on open intervals are never
 evaluated at the endpoints.
 
@@ -29,13 +29,13 @@ split round whose inner integrals have not all started is dropped, and its
 level keeps the estimate it had; before any level has an estimate, the
 inner integrals still to start take their first panel only.
 
-Integrands may be plain scalar callables or, with ``vectorized=True``,
-numpy-broadcasting callables (such as the ones produced by
-:func:`densbrackets.expressions.compile_expr`); every coordinate, outer ones
-included, arrives as an array.  Either kind is adapted once, at the public
-entry, to the core's batched protocol ``g(*coords)``.  Any NaN or infinity
-aborts the integration with every coordinate of the offending point
-reported; a panel sum that is not finite although every value was raises
+Integrands are numpy-broadcasting callables ``f(*coords)``, such as the
+kernels of :func:`densbrackets.expressions.compile_expr`: every coordinate,
+outer ones included, arrives as an array, and the result may be anything
+that broadcasts against them (a Python float included).  The quadrature
+leaf broadcasts it to the full node grid.  Any NaN or infinity aborts the
+integration with every coordinate of the offending point reported; a panel
+sum that is not finite although every value was raises
 :class:`DivergentIntegralError`.
 """
 
@@ -53,11 +53,8 @@ __all__ = [
     "QuadratureError",
     "NonFiniteIntegrandError",
     "DivergentIntegralError",
-    "integrate_1d",
     "integrate_2d",
     "integrate_4d",
-    "kronrod_panel",
-    "gauss_kronrod_rule",
 ]
 
 
@@ -143,11 +140,6 @@ _G7_WEIGHTS_EMBEDDED[1::2] = (
 _EPS = float(np.finfo(float).eps)
 
 
-def gauss_kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (nodes, kronrod weights, embedded gauss weights) on [-1, 1]."""
-    return _GK_NODES.copy(), _K15_WEIGHTS.copy(), _G7_WEIGHTS_EMBEDDED.copy()
-
-
 @dataclass(frozen=True)
 class QuadSpec:
     """Tolerances and budgets for one integration call.
@@ -228,8 +220,8 @@ class _Dropped(Exception):
 # memory grew by 1.4, 2.3 and 3.3 MB.
 _BLOCK_ROWS = 16
 
-# Batched integrand protocol: g(*coords) -> values broadcast over the coords.
-_Batched = Callable[..., np.ndarray]
+# Integrand protocol: f(*coords) -> values that broadcast against the coords.
+_Integrand = Callable[..., np.ndarray]
 
 # One axis's integrand over a block of rows: f(x, live) takes the nodes
 # x[i, n] of the live rows (an index array or a slice) and returns
@@ -239,25 +231,6 @@ _Batched = Callable[..., np.ndarray]
 _RowIntegrand = Callable[
     [np.ndarray, "np.ndarray | slice"], tuple[np.ndarray, np.ndarray | None]
 ]
-
-
-def _batched(f: Callable[..., float], vectorized: bool) -> _Batched:
-    """Adapt a caller's integrand, scalar or broadcasting, to ``g(*coords)``."""
-    if vectorized:
-        def g(*coords):
-            shape = np.broadcast(*coords).shape
-            out = np.asarray(f(*coords), dtype=float)
-            return out if out.shape == shape else np.broadcast_to(out, shape)
-    else:
-        def g(*coords):
-            grid = np.broadcast_arrays(*coords)
-            out = np.empty(grid[0].shape, dtype=float)
-            flat = out.reshape(-1)
-            for i, point in enumerate(zip(*(c.reshape(-1) for c in grid))):
-                flat[i] = f(*map(float, point))
-            return out
-
-    return g
 
 
 def _evaluate(
@@ -472,7 +445,7 @@ def _coords_of(fixed: tuple[np.ndarray, ...], row: int) -> tuple[float, ...]:
 
 
 def _iterated(
-    g: _Batched,
+    g: _Integrand,
     groups: tuple[tuple[Interval, ...], ...],
     specs: list[tuple[QuadSpec, ...]],
     run: _Run,
@@ -492,7 +465,10 @@ def _iterated(
     def leaf(coords):
         if len(groups) > 1:
             return _fan_out(g, groups[1:], specs[1:], run, coords)
-        values = g(*coords)
+        shape = np.broadcast(*coords).shape
+        values = np.asarray(g(*coords), dtype=float)
+        if values.shape != shape:
+            values = np.broadcast_to(values, shape)
         # a sum of finite values can overflow; only then look at each value
         if not math.isfinite(values.sum()) and not np.isfinite(values).all():
             idx = tuple(np.argwhere(~np.isfinite(values))[0])
@@ -553,12 +529,11 @@ def _fan_out(g, groups, specs, run, coords) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integrate(
-    f: Callable[..., float],
+    f: _Integrand,
     groups: tuple[tuple[Interval, ...], ...],
     spec: QuadSpec | None,
-    vectorized: bool,
 ) -> QuadResult:
-    """Public entry: check the intervals, adapt ``f`` and run the core."""
+    """Public entry: check the intervals and run the core on ``f``."""
     checked = []
     for group in groups:
         for lo, hi in group:
@@ -575,41 +550,14 @@ def _integrate(
     # panel sums may overflow on a divergent integrand; that raises
     # DivergentIntegralError, not a warning
     with np.errstate(all="ignore"):
-        value, err = _iterated(_batched(f, vectorized), tuple(checked), specs, run, (), 1)
+        value, err = _iterated(f, tuple(checked), specs, run, (), 1)
     return QuadResult(
         float(value[0]), float(err[0]), run.used, run.converged and not run.exhausted
     )
 
 
-def integrate_1d(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadSpec | None = None,
-    *,
-    vectorized: bool = False,
-) -> QuadResult:
-    """Adaptive integral of ``f`` over the open interval (a, b)."""
-    return _integrate(f, (((a, b),),), spec, vectorized)
-
-
-def kronrod_panel(
-    f: Callable[[float], float], a: float, b: float
-) -> tuple[float, float, float]:
-    """Single G7/K15 panel on (a, b): returns (gauss, kronrod, |G - K|)."""
-    half = 0.5 * (b - a)
-    fx = _batched(f, False)(0.5 * (a + b) + half * _GK_NODES)
-    k15 = half * float(fx @ _K15_WEIGHTS)
-    g7 = half * float(fx @ _G7_WEIGHTS_EMBEDDED)
-    return g7, k15, abs(k15 - g7)
-
-
 def integrate_2d(
-    f: Callable[[float, float], float],
-    box: Box2D,
-    spec: QuadSpec | None = None,
-    *,
-    vectorized: bool = False,
+    f: _Integrand, box: Box2D, spec: QuadSpec | None = None
 ) -> QuadResult:
     """Iterated adaptive integral over a rectangle.
 
@@ -617,26 +565,23 @@ def integrate_2d(
     with the inner tolerance tightened by a factor of 10.  The error estimate
     is the outer |G - K| sum plus the accumulated inner estimates.
     """
-    return _integrate(f, (tuple(box),), spec, vectorized)
+    return _integrate(f, (tuple(box),), spec)
 
 
 def integrate_4d(
-    f: Callable[[float, float, float, float], float],
+    f: _Integrand,
     outer_box: Box2D,
     inner_box: Box2D,
     spec: QuadSpec | None = None,
-    *,
-    vectorized: bool = False,
 ) -> QuadResult:
     """Iterated 4-d integral: adaptive 2-d over the outer box whose integrand
     is an adaptive 2-d integral over the inner box at 100x tighter tolerance.
 
-    ``f(s, t, u, v)`` takes the outer coordinates first.  With
-    ``vectorized=True`` it must broadcast over arrays in all four
-    coordinates: a block of outer points arrives as ``s``, ``t`` of shape
-    ``(rows, 1, 1)``, with ``u`` of shape ``(rows, n, 1)`` and ``v`` of shape
-    ``(rows, 1, m)``.  The evaluation budget (``spec.max_evals``) is shared
+    ``f(s, t, u, v)`` takes the outer coordinates first and broadcasts over
+    arrays in all four: a block of outer points arrives as ``s``, ``t`` of
+    shape ``(rows, 1, 1)``, with ``u`` of shape ``(rows, n, 1)`` and ``v`` of
+    shape ``(rows, 1, m)``.  The evaluation budget (``spec.max_evals``) is shared
     by all levels; exhausting it yields the best estimate with
     ``converged=False``.
     """
-    return _integrate(f, (tuple(outer_box), tuple(inner_box)), spec, vectorized)
+    return _integrate(f, (tuple(outer_box), tuple(inner_box)), spec)

@@ -1,4 +1,5 @@
-"""Shared test helpers: value-equality checks and random expression trees."""
+"""Shared test helpers: value-equality checks, random expression trees and
+the 1-d quadrature core."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import random
 
 import pytest
 
+from densbrackets import quadrature
 from densbrackets.expressions import (
     BinOp,
     Call,
@@ -93,3 +95,8 @@ def random_expr(
         # keep the denominator away from zero
         right = BinOp("+", Const(2.0), Call("sin", right))
     return BinOp(op, left, right)
+
+
+def integrate_1d(f, a, b, spec=None):
+    """The adaptive core on one axis: a broadcasting ``f`` over (a, b)."""
+    return quadrature._integrate(f, (((a, b),),), spec)

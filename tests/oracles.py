@@ -75,8 +75,8 @@ SPHERE_ROW3 = 0.05034986903738783
 # Gaussian-density leaf patch (flow maps arccos(theta+s), phi+t over
 # [pi/4, 3pi/4]^2).  Derived by the phi/t reduction
 #   area = |I2| * int_I1 (1/(2c)) int_0^pi W(theta) E((theta+s)) dtheta ds,
-#   E(u) = exp(-b) I0(b), b = ((1+u)/(1-u))^2 / 8,
-# evaluated with mpmath tanh-sinh quadrature at dps 22.
+#   E(u) = exp(-b) I0(b), b = ((1+u)/(1-u))^2 / 8;
+# the two areas are reproduced by gauss_area_oracle below.
 GAUSS_MASS_CONST_MEASURE = 0.7082398710282988  # with sin(theta) weight
 GAUSS_MASS_CONST_LITERAL = 1.0187855104944141  # plain dtheta dphi
 GAUSS_AREA_MEASURE = 2.1737326966049421
@@ -84,10 +84,50 @@ GAUSS_AREA_LITERAL = 3.3009295487041389
 GAUSS_INNER_MEASURE_AT_HALF_PI = 0.8984723978938014  # s = t = pi/2
 GAUSS_INNER_LITERAL_AT_HALF_PI = 1.3649156435247580
 
+# Sphere mass of exp(-1e4 sin(2 phi + 0.3)^2): e^-5000 I0(5000).  Its four
+# peaks in phi are about 0.01 wide.
+SPIKY_SPHERE_MASS = 0.005642036898744589
+
 # Reference values reported for the same quantities elsewhere.
 REPORTED_GAUSS_MASS_CONST = 0.7082398710278981
 REPORTED_GAUSS_AREA = 3.3009295509955767
 REPORTED_SPHERE_ROW3 = 0.0503498
+
+
+def gauss_area_oracle() -> dict[str, float]:
+    """The Gaussian leaf-patch area in both weight modes, reduced to 1-d.
+
+    The phi-integral is closed, int_0^2pi exp(-A sin^2(2 phi)) dphi =
+    2 pi e^(-A/2) I0(A/2), with A = ((1+v)/(1-v))^2 / 4 and v = theta + s
+    the cosine of the pulled-back polar angle; nothing depends on t.  For a
+    given v, s runs over the overlap [lo, hi] of I1 with (v - pi, v), so the
+    weight in v is hi - lo (literal mode) or int_lo^hi sin(v - s) ds =
+    cos(v - hi) - cos(v - lo) (measure mode).  The density is divided by its
+    mass c = (1/2) int_-1^1 e^(-A/2) I0(A/2) dv.  Tanh-sinh over the sorted
+    breakpoints of the weight and of the pole v = 1.
+    """
+    pi = mpmath.pi
+    lo1, hi1 = pi / 4, 3 * pi / 4
+
+    def phi_integral(v):  # e^(-A/2) I0(A/2), without the 2 pi
+        half_a = ((1 + v) / (1 - v)) ** 2 / 8
+        return mpmath.exp(-half_a) * mpmath.besseli(0, half_a)
+
+    def weight(v, mode):
+        lo, hi = max(lo1, v - pi), min(hi1, v)
+        if mode == "literal":
+            return hi - lo
+        return mpmath.cos(v - hi) - mpmath.cos(v - lo)
+
+    c = mpmath.quad(phi_integral, [-1, 1]) / 2
+    breaks = [pi / 4, 1, 3 * pi / 4, 5 * pi / 4, 7 * pi / 4]
+    return {
+        mode: float(
+            (hi1 - lo1) / (2 * c)
+            * mpmath.quad(lambda v: weight(v, mode) * phi_integral(v), breaks)
+        )
+        for mode in ("literal", "measure")
+    }
 
 
 def check_closed_forms() -> None:
@@ -103,3 +143,7 @@ def check_closed_forms() -> None:
     )
     assert TWO_PI_I0_AT_1 == float(2 * mpmath.pi * mpmath.besseli(0, 1))
     assert math.isclose(ERF_SQRT2_OVER_2, erf_oracle(math.sqrt(2) / 2), rel_tol=0, abs_tol=1e-16)
+    assert SPIKY_SPHERE_MASS == float(mpmath.exp(-5000) * mpmath.besseli(0, 5000))
+    areas = gauss_area_oracle()
+    assert GAUSS_AREA_LITERAL == areas["literal"]
+    assert GAUSS_AREA_MEASURE == areas["measure"]

@@ -1,4 +1,4 @@
-"""Domains, masses, normalization, positivity checks."""
+"""Domains, masses, normalization."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from densbrackets.geometry import (
     SPHERE,
     SQUARE,
     TORUS,
-    check_positive,
     density_mass,
     domain_by_name,
     normalize,
@@ -26,6 +25,7 @@ from oracles import (
     I0_AT_1_SQUARED,
     REPORTED_GAUSS_MASS_CONST,
     SPHERE_EXP_MASS_CONST,
+    SPIKY_SPHERE_MASS,
 )
 
 GAUSSIAN_SPHERE = "exp(-(1/4)*(sin(theta)/(1-cos(theta)))^4*sin(2*phi)^2)"
@@ -154,39 +154,15 @@ def test_gaussian_sphere_mass_constant():
     assert r.value == pytest.approx(REPORTED_GAUSS_MASS_CONST, abs=1e-6)
 
 
-# -- positivity -------------------------------------------------------------------
+# -- resolution limit ---------------------------------------------------------------
 
 
-def test_check_positive_accepts_positive_density():
-    report = check_positive(SQUARE, parse("3/2*(x^2+y^2)"), 32)
-    assert report.ok and report.n_negative == 0 and report.samples == ()
-
-
-def test_check_positive_flags_sign_change():
-    report = check_positive(SQUARE, parse("x - 1/2"), 32)
-    assert not report.ok
-    assert report.n_negative > 0
-    assert all(x < 0.5 + 1e-12 for x, _, _ in report.samples)
-    assert all(value <= 0.0 for _, _, value in report.samples)
-
-
-def test_check_positive_gaussian_sphere():
-    # all samples non-negative; the sharp tail underflows to +0.0 near the
-    # pole, which does not count as a sign violation
-    report = check_positive(SPHERE, parse(GAUSSIAN_SPHERE), 64)
-    assert report.ok
-    assert report.n_negative == 0
-    assert report.n_zero > 0
-
-
-def test_check_positive_needs_lattice():
-    with pytest.raises(GeometryError):
-        check_positive(SQUARE, parse("1"), 1)
-
-
-def test_check_positive_reports_domain_error_at_lattice_point():
-    # the 3 x 3 lattice has x = 1/2 on its middle column
-    with pytest.raises(DomainError) as err:
-        check_positive(SQUARE, parse("1/(x - 1/2)"), 3)
-    assert err.value.kind == "division-by-zero"
-    assert " at x=0.5, y=0.25" in str(err.value)
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the 15 nodes of the first phi panel miss all four 0.01-wide peaks, "
+    "so G7 = K15 there and the mass converges to 5.1e-69 after 690 evaluations",
+)
+def test_narrow_peaks_between_first_panel_nodes_are_resolved():
+    r = density_mass(SPHERE, parse("exp(-1e4*sin(2*phi+0.3)^2)"))
+    assert r.value == pytest.approx(SPIKY_SPHERE_MASS, rel=1e-6)
