@@ -5,8 +5,8 @@ globally adaptive bisection: the interval with the largest local error
 estimate ``|G - K|`` is split first, ties broken by the leftmost interval,
 and the final value is a compensated (Kahan) sum of panel contributions in
 left-to-right order.  The result is therefore a pure function of the inputs:
-repeat runs are bit-identical, and batched (vectorised) evaluation cannot
-change the reduction order.
+repeat runs are bit-identical, and batched evaluation cannot change the
+reduction order.
 
 Every integral runs through one adaptive core, which advances a block of
 independent integrations ("rows") in lockstep.  Each row keeps its own
