@@ -20,6 +20,13 @@ two natural readings of the area formula disagree for rho = 1; run both and
 compare (the reference Gaussian-patch value is reproduced by ``literal``
 mode, see the acceptance suite).
 
+A flow that only shifts phi, ``phi_map = phi + c(s, t)``, with ``theta_map``
+free of phi and t, leaves the inner sphere integral independent of t when
+``rho`` is 2 pi-periodic in phi.  :func:`area` checks these three
+preconditions symbolically and then integrates in 3-d, over s and the
+sphere, with t bound to the midpoint of I2; every other flow runs the 4-d
+integral.
+
 Substituting something like ``arccos(theta + s)`` takes arccos outside its
 principal domain; :func:`pullback_density` therefore runs the rationalizing
 rewrites of :func:`densbrackets.expressions.simplify` so that even powers of
@@ -32,7 +39,7 @@ and :func:`densbrackets.geometry.compiled_kernel` re-evaluates it strictly.
 A division by zero, an overflow, a surviving square root of a negative
 quantity or a logarithm of a non-positive value aborts with the offending
 subexpression and all four coordinates of the point reported, the fixed
-``(s, t)`` of :func:`inner_bracket` included.
+``(s, t)`` of :func:`inner_bracket` and the fixed t of a 3-d area included.
 """
 
 from __future__ import annotations
@@ -43,9 +50,11 @@ from dataclasses import dataclass, replace
 from .expressions import (
     BinOp,
     Call,
+    Const,
     Expr,
     Var,
     compile_expr,  # noqa: F401 -- benchmarks/tracing.py wraps areas.compile_expr
+    diff,
     free_vars,
     simplify,
     substitute,
@@ -157,25 +166,62 @@ def _default_spec(spec: QuadSpec | None) -> QuadSpec:
     return spec
 
 
+def _periodic_in_phi(expr: Expr) -> bool:
+    """Is every ``phi`` in ``expr`` inside a sin, cos or tan whose argument
+    has a constant integer phi-derivative (so ``expr`` is 2 pi-periodic)?"""
+    if isinstance(expr, Call):
+        if expr.fn in ("sin", "cos", "tan"):
+            slope = simplify(diff(expr.arg, "phi"))
+            if isinstance(slope, Const) and slope.value.is_integer():
+                return True
+        return _periodic_in_phi(expr.arg)
+    if isinstance(expr, BinOp):
+        return _periodic_in_phi(expr.left) and _periodic_in_phi(expr.right)
+    return expr != Var("phi")
+
+
+def _t_invariant(problem: AreaProblem) -> bool:
+    """Does the inner sphere integral not depend on t?  It does not when
+    ``phi_map = phi + c(s, t)``, ``theta_map`` has no phi and no t, and rho
+    is 2 pi-periodic in phi: the shift by c then leaves the phi-integral
+    unchanged."""
+    flow = problem.flow
+    return (
+        simplify(diff(flow.phi_map, "phi")) == Const(1.0)
+        and simplify(diff(flow.phi_map, "theta")) == Const(0.0)
+        and not free_vars(flow.theta_map) & {"phi", "t"}
+        and _periodic_in_phi(problem.rho)
+    )
+
+
 def area(problem: AreaProblem, spec: QuadSpec | None = None) -> QuadResult:
     """The patch area: 1/(4 pi) times the iterated 4-d integral.
 
     The outer adaptive integration runs over (s, t); each outer point
     triggers an inner 2-d integration over the sphere at 100x tighter
-    tolerance, with theta innermost.  A non-converged result (tolerance or
-    budget exhausted) is returned with ``converged=False`` rather than
-    raised.
+    tolerance, with theta innermost.  When the inner integral does not
+    depend on t (see :func:`_t_invariant`), the outer integration runs over
+    s alone with t at the midpoint of I2, and the result is multiplied by
+    ``|I2|``; the absolute tolerance is divided by ``|I2|`` so that it still
+    holds on the 4-d scale.  A non-converged result (tolerance or budget
+    exhausted) is returned with ``converged=False`` rather than raised.
     """
     problem.validate()
     spec = _default_spec(spec)
-    with compiled_kernel(_integrand_expr(problem), _VARS) as kernel:
-        result = integrate_4d(
-            kernel,
-            (problem.s_interval, problem.t_interval),
-            (_PHI_BOX, _THETA_BOX),
-            spec,
-        )
-    return result.scaled(SPHERE.prefactor)
+    if _t_invariant(problem):
+        t_lo, t_hi = problem.t_interval
+        width = t_hi - t_lo
+        # t leads, bound to the midpoint of I2, so that a domain error still
+        # names all four coordinates of a point of the patch
+        variables, fixed = ("t", "s", "phi", "theta"), (0.5 * (t_lo + t_hi),)
+        outer = (problem.s_interval,)
+        spec = replace(spec, abs_tol=spec.abs_tol / width)
+    else:
+        width, variables, fixed = 1.0, _VARS, ()
+        outer = (problem.s_interval, problem.t_interval)
+    with compiled_kernel(_integrand_expr(problem), variables, fixed) as kernel:
+        result = integrate_4d(kernel, outer, (_PHI_BOX, _THETA_BOX), spec)
+    return result.scaled(SPHERE.prefactor * width)
 
 
 def inner_bracket(

@@ -1,4 +1,4 @@
-"""Deterministic adaptive Gauss-Kronrod quadrature in 2 and 4 dimensions.
+"""Deterministic adaptive Gauss-Kronrod quadrature in 2, 3 and 4 dimensions.
 
 The only rule is the embedded G7/K15 pair.  One axis is integrated by
 globally adaptive bisection: the interval with the largest local error
@@ -16,8 +16,8 @@ one-row driver would, and the new nodes of all rows go to the integrand in
 one call.  A row's numbers therefore do not depend on the other rows of its
 block.  The axes of a pair are nested: the inner axis is integrated for all
 nodes of an outer panel at once, with its tolerance tightened by 10.  A
-further group (the inner pair of the 4-d case) is integrated for every point
-of the outer group, at 100x tighter tolerance; these inner integrals run as
+further group (the inner pair of the 3- and 4-d cases) is integrated for
+every point of the outer group, at 100x tighter tolerance; these inner integrals run as
 the rows of blocks of ``_BLOCK_ROWS``.  The error estimate of an iterated
 integral is the outer ``|G - K|`` sum plus a Kronrod-weighted bound on the
 accumulated inner error.  Kronrod nodes are
@@ -570,7 +570,7 @@ def integrate_2d(
 
 def integrate_4d(
     f: _Integrand,
-    outer_box: Box2D,
+    outer_box: tuple[Interval, ...],
     inner_box: Box2D,
     spec: QuadSpec | None = None,
 ) -> QuadResult:
@@ -580,8 +580,10 @@ def integrate_4d(
     ``f(s, t, u, v)`` takes the outer coordinates first and broadcasts over
     arrays in all four: a block of outer points arrives as ``s``, ``t`` of
     shape ``(rows, 1, 1)``, with ``u`` of shape ``(rows, n, 1)`` and ``v`` of
-    shape ``(rows, 1, m)``.  The evaluation budget (``spec.max_evals``) is shared
-    by all levels; exhausting it yields the best estimate with
-    ``converged=False``.
+    shape ``(rows, 1, m)``.  An outer box of one axis, ``((a, b),)``, makes
+    the integral 3-d: ``f(s, u, v)``, with the same per-level tolerances
+    (``spec`` on s, 100x and 1000x tighter on u and v).  The evaluation
+    budget (``spec.max_evals``) is shared by all levels; exhausting it yields
+    the best estimate with ``converged=False``.
     """
     return _integrate(f, (tuple(outer_box), tuple(inner_box)), spec)

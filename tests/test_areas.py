@@ -8,8 +8,13 @@ import random
 import pytest
 
 from densbrackets.areas import (
+    _PHI_BOX,
+    _THETA_BOX,
+    _VARS,
     AreaProblem,
     FlowMap,
+    _integrand_expr,
+    _t_invariant,
     area,
     inner_bracket,
     pullback_density,
@@ -18,15 +23,18 @@ from densbrackets.expressions import (
     DomainError,
     ExpressionError,
     Var,
+    compile_expr,
     evaluate,
     parse,
     to_text,
 )
 from densbrackets.geometry import GeometryError, SPHERE, normalize
-from densbrackets.quadrature import _BLOCK_ROWS, QuadSpec
+from densbrackets.quadrature import _BLOCK_ROWS, QuadSpec, integrate_4d
 
 from conftest import assert_value_equal
 from oracles import (
+    GAUSS_AREA_LITERAL,
+    GAUSS_AREA_MEASURE,
     GAUSS_INNER_LITERAL_AT_HALF_PI,
     GAUSS_INNER_MEASURE_AT_HALF_PI,
     GAUSS_MASS_CONST_MEASURE,
@@ -41,14 +49,25 @@ GAUSSIAN_RAW = "exp(-(1/4)*(sin(theta)/(1-cos(theta)))^4*sin(2*phi)^2)"
 GAUSSIAN_NORMALIZED = parse(f"{GAUSSIAN_RAW}/{GAUSS_MASS_CONST_MEASURE!r}")
 
 
-def _gauss_problem(mode: str) -> AreaProblem:
+def _gauss_problem(
+    mode: str, flow: FlowMap = ARCCOS_FLOW, rho=GAUSSIAN_NORMALIZED
+) -> AreaProblem:
     return AreaProblem(
-        rho=GAUSSIAN_NORMALIZED,
-        flow=ARCCOS_FLOW,
+        rho=rho,
+        flow=flow,
         s_interval=QUARTER,
         t_interval=QUARTER,
         weight_mode=mode,
     )
+
+
+def _area_4d(problem: AreaProblem, spec: QuadSpec):
+    """The area through the 4-d core over (s, t) x sphere, never reduced."""
+    kernel = compile_expr(_integrand_expr(problem), _VARS)
+    result = integrate_4d(
+        kernel, (problem.s_interval, problem.t_interval), (_PHI_BOX, _THETA_BOX), spec
+    )
+    return result.scaled(1 / (4 * math.pi))
 
 
 # -- pullbacks -----------------------------------------------------------------
@@ -273,23 +292,24 @@ def test_area_budget_exhaustion_flags_nonconvergence():
 
 
 def test_area_budget_in_the_first_outer_round_still_estimates():
-    # The paper's patch converges in one outer (s, t) round, so the budget
-    # runs out while that round's 15 x 15 outer points fan out.  The round
-    # in flight of one block finishes (see the 4-d budget test in
-    # test_quadrature), and as no level has an estimate to fall back on yet,
-    # each outer point that has not started takes its first inner panel
-    # (15 x 15 points and 15 results).
+    # In the 4-d core, the paper's patch converges in one outer (s, t)
+    # round, so the budget runs out while that round's 15 x 15 outer points
+    # fan out.  The round in flight of one block finishes (see the 4-d
+    # budget test in test_quadrature), and as no level has an estimate to
+    # fall back on yet, each outer point that has not started takes its
+    # first inner panel (15 x 15 points and 15 results).
     one_round = _BLOCK_ROWS * (30 * 30 + 30) + 30 * 30 + 30
     first_panels = 15 * 15 * (15 * 15 + 15)
     for max_evals in (20_000, 1_000_000, 5_000_000):
-        r = area(_gauss_problem("literal"), QuadSpec(1e-3, 1e-3, max_evals=max_evals))
+        spec = QuadSpec(1e-3, 1e-3, max_evals=max_evals)
+        r = _area_4d(_gauss_problem("literal"), spec)
         assert not r.converged and math.isfinite(r.value)
         assert max_evals <= r.n_evals <= max_evals + one_round + first_panels
 
 
-# Taken from the parent commit's iterated driver, which ran the inner
-# integrals of the outer points one after another; the lockstep core must
-# take the same bisections.
+# Taken from an earlier 4-d core that ran the inner integrals of the outer
+# points one after another; the lockstep 4-d core must take the same
+# bisections.
 @pytest.mark.parametrize(
     "flow, mode, value, error, n_evals",
     [
@@ -305,11 +325,71 @@ def test_area_matches_the_per_point_driver(flow, mode, value, error, n_evals):
         t_interval=QUARTER,
         weight_mode=mode,
     )
-    r = area(problem, QuadSpec(abs_tol=0.1, rel_tol=0.1))
+    r = _area_4d(problem, QuadSpec(abs_tol=0.1, rel_tol=0.1))
     assert r.converged
     assert r.n_evals == n_evals
     assert r.value == pytest.approx(value, rel=1e-13)
     assert r.error_estimate == pytest.approx(error, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "rho, theta_map, phi_map, reduces",
+    [
+        (GAUSSIAN_RAW, "arccos(theta + s)", "phi + t", True),
+        (GAUSSIAN_RAW, "theta", "phi + t", True),
+        ("1 + sin(3*sin(phi))*cos(theta)", "theta", "phi + s*t", True),
+        ("1 + tan(2*phi + theta)^2", "theta + s", "phi - t", True),
+        ("1 + sin(phi/2)^2", "theta", "phi + t", False),
+        ("1 + phi", "theta", "phi + t", False),
+        ("1 + cos(phi*theta)", "theta", "phi + t", False),
+        (GAUSSIAN_RAW, "theta", "2*phi + t", False),
+        (GAUSSIAN_RAW, "arccos(theta + s)", "phi + t*theta", False),
+        (GAUSSIAN_RAW, "arccos(theta + s*t/4)", "phi + t", False),
+        (GAUSSIAN_RAW, "theta + phi/100", "phi + t", False),
+    ],
+)
+def test_t_invariance_is_recognised_symbolically(rho, theta_map, phi_map, reduces):
+    flow = FlowMap(theta_map=parse(theta_map), phi_map=parse(phi_map))
+    assert _t_invariant(_gauss_problem("measure", flow, parse(rho))) is reduces
+
+
+@pytest.mark.parametrize("mode", ["literal", "measure"])
+def test_reduced_area_agrees_with_the_4d_core(mode):
+    problem = _gauss_problem(mode)
+    spec = QuadSpec(abs_tol=1e-3, rel_tol=1e-3)
+    reduced, full = area(problem, spec), _area_4d(problem, spec)
+    assert reduced.converged and full.converged
+    assert abs(reduced.value - full.value) <= reduced.error_estimate + full.error_estimate
+    assert reduced.n_evals < full.n_evals / 10
+
+
+@pytest.mark.parametrize(
+    "rho, flow",
+    [
+        # not 2 pi-periodic in phi
+        (parse("1 + sin(phi/2)^2"), ROTATION),
+        (parse("1 + phi/10"), ROTATION),
+        # the phi-shift depends on theta
+        (GAUSSIAN_NORMALIZED, FlowMap(parse("arccos(theta + s)"), parse("phi + t*theta"))),
+        # theta_map depends on t
+        (GAUSSIAN_NORMALIZED, FlowMap(parse("arccos(theta + s*t/4)"), parse("phi + t"))),
+    ],
+    ids=["half-angle", "bare-phi", "theta-shift", "theta-map-of-t"],
+)
+def test_area_outside_the_reduction_is_the_4d_core(rho, flow):
+    problem = _gauss_problem("measure", flow, rho)
+    spec = QuadSpec(abs_tol=1e-2, rel_tol=1e-2, max_evals=3_000_000)
+    assert area(problem, spec) == _area_4d(problem, spec)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-5])
+@pytest.mark.parametrize(
+    "mode, truth", [("literal", GAUSS_AREA_LITERAL), ("measure", GAUSS_AREA_MEASURE)]
+)
+def test_gauss_area_error_estimate_covers_the_true_error(mode, truth, tol):
+    r = area(_gauss_problem(mode), QuadSpec(abs_tol=tol, rel_tol=tol))
+    assert r.converged
+    assert abs(r.value - truth) <= r.error_estimate
 
 
 # -- validation and domain errors --------------------------------------------------
@@ -367,6 +447,8 @@ def test_surviving_sqrt_domain_error_identifies_node():
         area(p, QuadSpec(abs_tol=1e-3, rel_tol=1e-3))
     for name in ("theta=", "phi=", "s=", "t="):
         assert name in str(err.value)
+    # the identity flow reduces to 3-d: t is the midpoint of I2
+    assert f" at t={(QUARTER[0] + QUARTER[1]) / 2!r}, s=" in str(err.value)
     # inner_bracket: the quadrature reports the (phi, theta) point, and the
     # fixed (s, t) lead the coordinates of the domain error
     p = AreaProblem(

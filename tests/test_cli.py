@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densbrackets import __version__
 from densbrackets.cli import main
-from densbrackets.expressions import parse
-from densbrackets.geometry import SPHERE, normalize
+from densbrackets.expressions import FUNCTIONS, parse
+from densbrackets.geometry import DOMAINS, SPHERE, normalize
 
 from oracles import FOUR_PI_SQUARED
 
@@ -294,10 +299,11 @@ def test_bracket_command_matches_table_row(tmp_path, capsys):
 
 
 def test_area_command_matches_table_row(tmp_path, capsys):
+    # phi_map = phi + t*theta keeps the 4-d path, where the budget runs out
     code, out, _ = run_cli(
         capsys,
         "area", "--rho", "1 + sin(theta)^2/2", "--theta-map", "arccos(theta + s)",
-        "--phi-map", "phi + t", "--s-lo", "pi/4", "--s-hi", "3*pi/4",
+        "--phi-map", "phi + t*theta", "--s-lo", "pi/4", "--s-hi", "3*pi/4",
         "--t-lo", "pi/4", "--t-hi", "3*pi/4", "--weight-mode", "literal",
         "--abs-tol", "1e-9", "--rel-tol", "1e-9", "--max-evals", "20000",
     )
@@ -305,7 +311,7 @@ def test_area_command_matches_table_row(tmp_path, capsys):
     row_code, row = _one_row_table(
         tmp_path, capsys,
         "kind = area\nrho = 1 + sin(theta)^2/2\ntheta_map = arccos(theta + s)\n"
-        "phi_map = phi + t\ns_lo = pi/4\ns_hi = 3*pi/4\nt_lo = pi/4\nt_hi = 3*pi/4\n"
+        "phi_map = phi + t*theta\ns_lo = pi/4\ns_hi = 3*pi/4\nt_lo = pi/4\nt_hi = 3*pi/4\n"
         "weight_mode = literal\nquad_abs_tol = 1e-9\nquad_rel_tol = 1e-9\n"
         "quad_max_evals = 20000\n",
     )
@@ -447,3 +453,79 @@ def test_boolean_table_key_is_checked(tmp_path, capsys):
     code, out, err = run_cli(capsys, "table", str(cfg))
     assert code == 1 and out == ""
     assert "row.normalize" in err
+
+
+# -- fuzzing -----------------------------------------------------------------------
+
+
+def _expressions(names: tuple[str, ...]):
+    """Small expression texts over ``names`` (and a stray variable), built
+    from the whole surface grammar."""
+    leaves = st.sampled_from(names + ("q", "pi", "e", "0", "2", "0.5", "1e3"))
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds("{}({})".format, st.sampled_from(FUNCTIONS), inner),
+            st.builds("({}){}({})".format, inner, st.sampled_from("+-*/^"), inner),
+        ),
+        max_leaves=5,
+    )
+
+
+_TOLERANCES = st.sampled_from(["1e-2", "1e-6", "1e-12", "0", "-1", "nan", "1e400", "abc"])
+_LIMITS = st.sampled_from(["0.3", "1", "pi/4", "3*pi/4", "2", "pi", "7", "ln(0)", "s"])
+# valid parameter intervals half of the time, so that areas get integrated
+_INTERVALS = st.one_of(
+    st.sampled_from([("pi/4", "3*pi/4"), ("0.3", "1"), ("1", "1.1"), ("2", "3")]),
+    st.tuples(_LIMITS, _LIMITS),
+)
+
+
+@st.composite
+def _bracket_argv(draw):
+    domain = draw(st.sampled_from(sorted(DOMAINS)))
+    expr = _expressions(DOMAINS[domain].coords)
+    argv = ["bracket", "--domain", domain, "--rho", draw(expr), "--f", draw(expr),
+            "--h", draw(expr), "--max-subdivisions", str(draw(st.integers(1, 20)))]
+    if draw(st.booleans()):
+        argv += ["--tau", draw(expr)]
+    if draw(st.booleans()):
+        argv += ["--abs-tol", draw(_TOLERANCES), "--rel-tol", draw(_TOLERANCES)]
+    if draw(st.booleans()):
+        argv.append("--no-normalize")
+    return argv
+
+
+@st.composite
+def _area_argv(draw):
+    expr = _expressions(("theta", "phi", "s", "t"))
+    argv = ["area", "--rho", draw(_expressions(("theta", "phi"))),
+            "--theta-map", draw(expr), "--phi-map", draw(expr),
+            "--max-evals", str(draw(st.integers(15, 20_000)))]
+    for axis in ("s", "t"):
+        lo, hi = draw(_INTERVALS)
+        argv += [f"--{axis}-lo", lo, f"--{axis}-hi", hi]
+    argv += ["--weight-mode", draw(st.sampled_from(["measure", "literal"]))]
+    if draw(st.booleans()):
+        argv += ["--abs-tol", draw(_TOLERANCES), "--rel-tol", draw(_TOLERANCES)]
+    return argv
+
+
+@given(st.one_of(_bracket_argv(), _area_argv()))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_random_commands_end_in_a_result_or_a_typed_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # one JSON document, or (exit code 1 or 2) one error line
+    if out.getvalue():
+        assert code != 1 and err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert code != 0 and err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
