@@ -20,12 +20,12 @@ two natural readings of the area formula disagree for rho = 1; run both and
 compare (the reference Gaussian-patch value is reproduced by ``literal``
 mode, see the acceptance suite).
 
-A flow that only shifts phi, ``phi_map = phi + c(s, t)``, with ``theta_map``
-free of phi and t, leaves the inner sphere integral independent of t when
-``rho`` is 2 pi-periodic in phi.  :func:`area` checks these three
-preconditions symbolically and then integrates in 3-d, over s and the
-sphere, with t bound to the midpoint of I2; every other flow runs the 4-d
-integral.
+A flow that only shifts phi, ``phi_map = phi + c(theta, s, t)``, with
+``theta_map`` free of phi and t, leaves the inner sphere integral
+independent of t when ``rho`` is 2 pi-periodic in phi.  :func:`area` checks
+these three preconditions symbolically and then integrates in 3-d, over s
+and the sphere, with t bound to the midpoint of I2; every other flow runs
+the 4-d integral.
 
 Substituting something like ``arccos(theta + s)`` takes arccos outside its
 principal domain; :func:`pullback_density` therefore runs the rationalizing
@@ -166,11 +166,25 @@ def _default_spec(spec: QuadSpec | None) -> QuadSpec:
     return spec
 
 
+def _jumps_in_phi(expr: Expr) -> bool:
+    """Does ``expr`` hold a ``sign`` of something that depends on phi?
+    :func:`diff` gives ``sign`` the derivative 0, so across its jump a
+    constant phi-derivative proves nothing."""
+    if isinstance(expr, Call):
+        if expr.fn == "sign" and "phi" in free_vars(expr.arg):
+            return True
+        return _jumps_in_phi(expr.arg)
+    if isinstance(expr, BinOp):
+        return _jumps_in_phi(expr.left) or _jumps_in_phi(expr.right)
+    return False
+
+
 def _periodic_in_phi(expr: Expr) -> bool:
     """Is every ``phi`` in ``expr`` inside a sin, cos or tan whose argument
-    has a constant integer phi-derivative (so ``expr`` is 2 pi-periodic)?"""
+    has a constant integer phi-derivative and no jump in phi (so ``expr`` is
+    2 pi-periodic)?"""
     if isinstance(expr, Call):
-        if expr.fn in ("sin", "cos", "tan"):
+        if expr.fn in ("sin", "cos", "tan") and not _jumps_in_phi(expr.arg):
             slope = simplify(diff(expr.arg, "phi"))
             if isinstance(slope, Const) and slope.value.is_integer():
                 return True
@@ -182,13 +196,13 @@ def _periodic_in_phi(expr: Expr) -> bool:
 
 def _t_invariant(problem: AreaProblem) -> bool:
     """Does the inner sphere integral not depend on t?  It does not when
-    ``phi_map = phi + c(s, t)``, ``theta_map`` has no phi and no t, and rho
-    is 2 pi-periodic in phi: the shift by c then leaves the phi-integral
-    unchanged."""
+    ``phi_map = phi + c(theta, s, t)``, ``theta_map`` has no phi and no t,
+    and rho is 2 pi-periodic in phi: at each theta the shift by c then
+    leaves the phi-integral over a full period unchanged."""
     flow = problem.flow
     return (
         simplify(diff(flow.phi_map, "phi")) == Const(1.0)
-        and simplify(diff(flow.phi_map, "theta")) == Const(0.0)
+        and not _jumps_in_phi(flow.phi_map)
         and not free_vars(flow.theta_map) & {"phi", "t"}
         and _periodic_in_phi(problem.rho)
     )

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from densbrackets.areas import (
     _PHI_BOX,
@@ -29,7 +31,7 @@ from densbrackets.expressions import (
     to_text,
 )
 from densbrackets.geometry import GeometryError, SPHERE, normalize
-from densbrackets.quadrature import _BLOCK_ROWS, QuadSpec, integrate_4d
+from densbrackets.quadrature import _BLOCK_ROWS, QuadratureError, QuadSpec, integrate_4d
 
 from conftest import assert_value_equal
 from oracles import (
@@ -343,7 +345,10 @@ def test_area_matches_the_per_point_driver(flow, mode, value, error, n_evals):
         ("1 + phi", "theta", "phi + t", False),
         ("1 + cos(phi*theta)", "theta", "phi + t", False),
         (GAUSSIAN_RAW, "theta", "2*phi + t", False),
-        (GAUSSIAN_RAW, "arccos(theta + s)", "phi + t*theta", False),
+        (GAUSSIAN_RAW, "arccos(theta + s)", "phi + t*theta", True),
+        ("1 + sin(phi)^2", "theta", "phi + t + sign(t - 1)", True),
+        ("1 + sin(phi)^2", "theta", "phi + t + sign(phi - 1)", False),
+        ("1 + sin(phi + sign(phi - 1))^2", "theta", "phi + t", False),
         (GAUSSIAN_RAW, "arccos(theta + s*t/4)", "phi + t", False),
         (GAUSSIAN_RAW, "theta + phi/100", "phi + t", False),
     ],
@@ -353,9 +358,53 @@ def test_t_invariance_is_recognised_symbolically(rho, theta_map, phi_map, reduce
     assert _t_invariant(_gauss_problem("measure", flow, parse(rho))) is reduces
 
 
-@pytest.mark.parametrize("mode", ["literal", "measure"])
-def test_reduced_area_agrees_with_the_4d_core(mode):
-    problem = _gauss_problem(mode)
+def _small_expressions(leaves: tuple[str, ...]):
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda inner: st.one_of(
+            st.builds(
+                "{}({})".format,
+                st.sampled_from(("sin", "cos", "exp", "abs", "sign", "arctan")),
+                inner,
+            ),
+            st.builds("({}){}({})".format, inner, st.sampled_from("+-*/^"), inner),
+        ),
+        max_leaves=4,
+    )
+
+
+@given(
+    _small_expressions(("theta", "phi", "2", "0.5", "sin(phi)", "cos(2*phi)", "sign(phi - 1)")),
+    _small_expressions(("theta", "phi", "s", "t", "1", "sign(phi - 1)", "sign(t - 1)")),
+    st.sampled_from(["theta", "theta + s", "arccos(theta + s)/2"]),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_inner_bracket_of_a_reducible_flow_does_not_depend_on_t(rho, shift, theta_map):
+    # the claim the reduction rests on, at both ends of I2
+    try:
+        flow = FlowMap(parse(theta_map), parse(f"phi + {shift}"))
+        problem = _gauss_problem("measure", flow, parse(f"1 + ({rho})^2"))
+    except ExpressionError:
+        assume(False)
+    assume(_t_invariant(problem))
+    spec = QuadSpec(abs_tol=1e-8, rel_tol=1e-8, max_evals=2_000_000)
+    try:
+        a, b = (inner_bracket(problem, 1.0, t, spec) for t in (0.8, 2.3))
+    except (ExpressionError, GeometryError, QuadratureError):
+        assume(False)
+    assume(a.converged and b.converged)
+    assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate + 1e-12 * abs(a.value)
+
+
+@pytest.mark.parametrize(
+    "mode, phi_map",
+    [("literal", "phi + t"), ("measure", "phi + t"), ("measure", "phi + t*theta")],
+)
+def test_reduced_area_agrees_with_the_4d_core(mode, phi_map):
+    # a shift by t*theta moves each theta-circle by its own amount, and
+    # the phi-integral over a full period does not see it
+    flow = FlowMap(theta_map=parse("arccos(theta + s)"), phi_map=parse(phi_map))
+    problem = _gauss_problem(mode, flow)
     spec = QuadSpec(abs_tol=1e-3, rel_tol=1e-3)
     reduced, full = area(problem, spec), _area_4d(problem, spec)
     assert reduced.converged and full.converged
@@ -369,12 +418,13 @@ def test_reduced_area_agrees_with_the_4d_core(mode):
         # not 2 pi-periodic in phi
         (parse("1 + sin(phi/2)^2"), ROTATION),
         (parse("1 + phi/10"), ROTATION),
-        # the phi-shift depends on theta
-        (GAUSSIAN_NORMALIZED, FlowMap(parse("arccos(theta + s)"), parse("phi + t*theta"))),
+        # sign has phi-derivative 0 but jumps: not a shift, not periodic
+        (parse("1 + sin(phi)^2"), FlowMap(parse("theta"), parse("phi + t + sign(phi - 1)"))),
+        (parse("1 + sin(phi + sign(phi - 1))^2"), ROTATION),
         # theta_map depends on t
         (GAUSSIAN_NORMALIZED, FlowMap(parse("arccos(theta + s*t/4)"), parse("phi + t"))),
     ],
-    ids=["half-angle", "bare-phi", "theta-shift", "theta-map-of-t"],
+    ids=["half-angle", "bare-phi", "phi-map-jump", "rho-jump", "theta-map-of-t"],
 )
 def test_area_outside_the_reduction_is_the_4d_core(rho, flow):
     problem = _gauss_problem("measure", flow, rho)

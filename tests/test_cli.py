@@ -299,19 +299,19 @@ def test_bracket_command_matches_table_row(tmp_path, capsys):
 
 
 def test_area_command_matches_table_row(tmp_path, capsys):
-    # phi_map = phi + t*theta keeps the 4-d path, where the budget runs out
+    # a theta_map that uses t keeps the 4-d path, where the budget runs out
     code, out, _ = run_cli(
         capsys,
-        "area", "--rho", "1 + sin(theta)^2/2", "--theta-map", "arccos(theta + s)",
-        "--phi-map", "phi + t*theta", "--s-lo", "pi/4", "--s-hi", "3*pi/4",
+        "area", "--rho", "1 + sin(theta)^2/2", "--theta-map", "arccos(theta + s*t)",
+        "--phi-map", "phi + t", "--s-lo", "pi/4", "--s-hi", "3*pi/4",
         "--t-lo", "pi/4", "--t-hi", "3*pi/4", "--weight-mode", "literal",
         "--abs-tol", "1e-9", "--rel-tol", "1e-9", "--max-evals", "20000",
     )
     single = json.loads(out)
     row_code, row = _one_row_table(
         tmp_path, capsys,
-        "kind = area\nrho = 1 + sin(theta)^2/2\ntheta_map = arccos(theta + s)\n"
-        "phi_map = phi + t*theta\ns_lo = pi/4\ns_hi = 3*pi/4\nt_lo = pi/4\nt_hi = 3*pi/4\n"
+        "kind = area\nrho = 1 + sin(theta)^2/2\ntheta_map = arccos(theta + s*t)\n"
+        "phi_map = phi + t\ns_lo = pi/4\ns_hi = 3*pi/4\nt_lo = pi/4\nt_hi = 3*pi/4\n"
         "weight_mode = literal\nquad_abs_tol = 1e-9\nquad_rel_tol = 1e-9\n"
         "quad_max_evals = 20000\n",
     )
@@ -460,12 +460,13 @@ def test_boolean_table_key_is_checked(tmp_path, capsys):
 
 def _expressions(names: tuple[str, ...]):
     """Small expression texts over ``names`` (and a stray variable), built
-    from the whole surface grammar."""
+    from the whole surface grammar and the two names that only
+    differentiation produces but the parser accepts."""
     leaves = st.sampled_from(names + ("q", "pi", "e", "0", "2", "0.5", "1e3"))
     return st.recursive(
         leaves,
         lambda inner: st.one_of(
-            st.builds("{}({})".format, st.sampled_from(FUNCTIONS), inner),
+            st.builds("{}({})".format, st.sampled_from(FUNCTIONS + ("sign", "besseli1")), inner),
             st.builds("({}){}({})".format, inner, st.sampled_from("+-*/^"), inner),
         ),
         max_leaves=5,
