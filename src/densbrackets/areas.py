@@ -212,13 +212,16 @@ def area(problem: AreaProblem, spec: QuadSpec | None = None) -> QuadResult:
     """The patch area: 1/(4 pi) times the iterated 4-d integral.
 
     The outer adaptive integration runs over (s, t); each outer point
-    triggers an inner 2-d integration over the sphere at 100x tighter
-    tolerance, with theta innermost.  When the inner integral does not
-    depend on t (see :func:`_t_invariant`), the outer integration runs over
-    s alone with t at the midpoint of I2, and the result is multiplied by
-    ``|I2|``; the absolute tolerance is divided by ``|I2|`` so that it still
-    holds on the 4-d scale.  A non-converged result (tolerance or budget
-    exhausted) is returned with ``converged=False`` rather than raised.
+    triggers an inner 2-d integration over the sphere, with theta innermost.
+    Each axis runs at 10x tighter tolerance than the one outside it: the
+    tolerance of ``spec`` on s, then /10 on t, /100 on phi and /1000 on
+    theta.  When the inner integral does not depend on t (see
+    :func:`_t_invariant`), the outer integration runs over s alone with t at
+    the midpoint of I2, so phi and theta run at /10 and /100, and the result
+    is multiplied by ``|I2|``; the absolute tolerance is divided by ``|I2|``
+    so that it still holds on the 4-d scale.  A non-converged result
+    (tolerance or budget exhausted) is returned with ``converged=False``
+    rather than raised.
     """
     problem.validate()
     spec = _default_spec(spec)
@@ -229,7 +232,7 @@ def area(problem: AreaProblem, spec: QuadSpec | None = None) -> QuadResult:
         # names all four coordinates of a point of the patch
         variables, fixed = ("t", "s", "phi", "theta"), (0.5 * (t_lo + t_hi),)
         outer = (problem.s_interval,)
-        spec = replace(spec, abs_tol=spec.abs_tol / width)
+        spec = replace(spec, abs_tol=max(spec.abs_tol / width, math.ulp(0.0)))
     else:
         width, variables, fixed = 1.0, _VARS, ()
         outer = (problem.s_interval, problem.t_interval)

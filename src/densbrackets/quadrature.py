@@ -15,14 +15,15 @@ round, every unconverged row bisects its own worst panel, exactly as a
 one-row driver would, and the new nodes of all rows go to the integrand in
 one call.  A row's numbers therefore do not depend on the other rows of its
 block.  The axes of a pair are nested: the inner axis is integrated for all
-nodes of an outer panel at once, with its tolerance tightened by 10.  A
-further group (the inner pair of the 3- and 4-d cases) is integrated for
-every point of the outer group, at 100x tighter tolerance; these inner integrals run as
-the rows of blocks of ``_BLOCK_ROWS``.  The error estimate of an iterated
-integral is the outer ``|G - K|`` sum plus a Kronrod-weighted bound on the
-accumulated inner error.  Kronrod nodes are
-strictly interior, so integrands defined on open intervals are never
-evaluated at the endpoints.
+nodes of an outer panel at once.  A further group (the inner pair of the 3-
+and 4-d cases) is integrated for every point of the outer group; these inner
+integrals run as the rows of blocks of ``_BLOCK_ROWS``.  Each nested axis
+runs at 10x tighter tolerance than the axis outside it: (tol, tol/10) in
+2-d, (tol, tol/10, tol/100) in 3-d and (tol, tol/10, tol/100, tol/1000) in
+4-d.  The error estimate of an iterated integral is the outer ``|G - K|``
+sum plus a Kronrod-weighted bound on the accumulated inner error.  Kronrod
+nodes are strictly interior, so integrands defined on open intervals are
+never evaluated at the endpoints.
 
 An evaluation budget stops the run after the round in flight.  An outer
 split round whose inner integrals have not all started is dropped, and its
@@ -167,8 +168,12 @@ class QuadSpec:
             raise QuadratureError("max_evals must allow at least one panel")
 
     def tightened(self, factor: float) -> "QuadSpec":
+        """Both tolerances divided by ``factor``, floored at the smallest
+        positive double so that a tiny tolerance stays valid."""
         return replace(
-            self, abs_tol=self.abs_tol / factor, rel_tol=self.rel_tol / factor
+            self,
+            abs_tol=max(self.abs_tol / factor, math.ulp(0.0)),
+            rel_tol=max(self.rel_tol / factor, math.ulp(0.0)),
         )
 
 
@@ -214,10 +219,11 @@ class _Dropped(Exception):
     """The budget ran out before every inner integral of a split round began."""
 
 
-# Outer points of the 4-d case run their inner integrals in blocks of this
-# many rows.  On the three Gaussian leaf-patch areas at tolerance 1e-3, 16,
-# 32 and 64 rows took the same 2.0-2.3 s (8 rows: 3.0 s), while the peak
-# memory grew by 1.4, 2.3 and 3.3 MB.
+# Outer points of the 3- and 4-d cases run their inner integrals in blocks
+# of this many rows.  The three Gaussian leaf-patch areas at tolerance 1e-3
+# take the same 30-40 ms in 3-d with 8, 16, 32 and 64 rows.  Through the
+# 4-d core they took the same 2.0-2.3 s with 16, 32 and 64 rows (8 rows:
+# 3.0 s), while the peak memory grew by 1.4, 2.3 and 3.3 MB.
 _BLOCK_ROWS = 16
 
 # Integrand protocol: f(*coords) -> values that broadcast against the coords.
@@ -544,7 +550,7 @@ def _integrate(
     specs, level = [], spec
     for group in checked:
         if specs:
-            level = level.tightened(100.0)
+            level = level.tightened(10.0 ** len(specs[-1]))
         specs.append((level, level.tightened(10.0))[: len(group)])
     run = _Run(spec.max_evals)
     # panel sums may overflow on a divergent integrand; that raises
@@ -575,14 +581,16 @@ def integrate_4d(
     spec: QuadSpec | None = None,
 ) -> QuadResult:
     """Iterated 4-d integral: adaptive 2-d over the outer box whose integrand
-    is an adaptive 2-d integral over the inner box at 100x tighter tolerance.
+    is an adaptive 2-d integral over the inner box, each axis at 10x tighter
+    tolerance than the one outside it (``spec`` on s, 10x on t, 100x and
+    1000x on u and v).
 
     ``f(s, t, u, v)`` takes the outer coordinates first and broadcasts over
     arrays in all four: a block of outer points arrives as ``s``, ``t`` of
     shape ``(rows, 1, 1)``, with ``u`` of shape ``(rows, n, 1)`` and ``v`` of
     shape ``(rows, 1, m)``.  An outer box of one axis, ``((a, b),)``, makes
-    the integral 3-d: ``f(s, u, v)``, with the same per-level tolerances
-    (``spec`` on s, 100x and 1000x tighter on u and v).  The evaluation
+    the integral 3-d: ``f(s, u, v)``, by the same rule (``spec`` on s, 10x
+    and 100x tighter on u and v).  The evaluation
     budget (``spec.max_evals``) is shared by all levels; exhausting it yields
     the best estimate with ``converged=False``.
     """

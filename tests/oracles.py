@@ -83,6 +83,10 @@ GAUSS_AREA_MEASURE = 2.1737326966049421
 GAUSS_AREA_LITERAL = 3.3009295487041389
 GAUSS_INNER_MEASURE_AT_HALF_PI = 0.8984723978938014  # s = t = pi/2
 GAUSS_INNER_LITERAL_AT_HALF_PI = 1.3649156435247580
+# The same density under the rotation flow (theta, phi + t): the inner
+# integral is the density's literal mass at every (s, t), so the literal area
+# is (pi/2)^2 c_literal / c_measure; see gauss_masses_oracle.
+GAUSS_ROTATION_AREA_LITERAL = 3.5492953621570305
 
 # Sphere mass of exp(-1e4 sin(2 phi + 0.3)^2): e^-5000 I0(5000).  Its four
 # peaks in phi are about 0.01 wide.
@@ -130,6 +134,23 @@ def gauss_area_oracle() -> dict[str, float]:
     }
 
 
+def gauss_masses_oracle() -> tuple[mpmath.mpf, mpmath.mpf]:
+    """The Gaussian density's mass (c_measure, c_literal): (1/4 pi) times
+    its sphere integral with and without the sin(theta) weight.  The
+    phi-integral is closed as in gauss_area_oracle, with A/2 =
+    cot(theta/2)^4 / 8."""
+
+    def phi_integral(theta):
+        half_a = mpmath.cot(theta / 2) ** 4 / 8
+        return mpmath.exp(-half_a) * mpmath.besseli(0, half_a)
+
+    box = [0, mpmath.pi / 2, mpmath.pi]
+    return tuple(
+        mpmath.quad(lambda theta: w(theta) * phi_integral(theta), box) / 2
+        for w in (mpmath.sin, lambda theta: 1)
+    )
+
+
 def check_closed_forms() -> None:
     """Recompute the frozen closed forms; raises AssertionError on drift."""
     assert SQUARE_ROW3 == float(3 * (mpmath.sin(2) - mpmath.sin(1) ** 2))
@@ -147,3 +168,6 @@ def check_closed_forms() -> None:
     areas = gauss_area_oracle()
     assert GAUSS_AREA_LITERAL == areas["literal"]
     assert GAUSS_AREA_MEASURE == areas["measure"]
+    c_measure, c_literal = gauss_masses_oracle()
+    assert GAUSS_MASS_CONST_LITERAL == float(c_literal)
+    assert GAUSS_ROTATION_AREA_LITERAL == float((mpmath.pi / 2) ** 2 * c_literal / c_measure)

@@ -404,6 +404,17 @@ def test_infinite_tolerance_flag_exits_1(capsys):
     assert "--abs-tol" in err
 
 
+def test_subnormal_tolerance_flag_runs(capsys):
+    # the inner level's tolerance, 1e-323 / 10, would underflow to 0
+    code, out, err = run_cli(
+        capsys,
+        "bracket", "--domain", "square", "--rho", "1", "--f", "x", "--h", "y",
+        "--abs-tol", "1e-323",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == 1.0
+
+
 def test_infinite_tolerance_key_exits_1(tmp_path, capsys):
     cfg = tmp_path / "jobs.cfg"
     cfg.write_text(

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from densbrackets import quadrature
 from densbrackets.quadrature import (
     _BLOCK_ROWS,
     _G7_WEIGHTS_EMBEDDED,
@@ -145,6 +146,41 @@ def test_spec_validation():
         QuadSpec(max_subdivisions=0)
     with pytest.raises(QuadratureError):
         QuadSpec(max_evals=14)
+
+
+def test_tightened_tolerances_stop_at_the_smallest_double():
+    spec = QuadSpec(abs_tol=5e-324, rel_tol=1e-3).tightened(1000.0)
+    assert spec.abs_tol == 5e-324 and spec.rel_tol == 1e-3 / 1000.0
+    assert QuadSpec(abs_tol=1e-300).tightened(10.0).abs_tol == 1e-300 / 10.0
+
+
+@pytest.mark.parametrize(
+    "outer, expected",
+    [
+        # each nested axis is 10x tighter than the axis outside it
+        ((), (1e-3, 1e-3 / 10)),
+        (((0.0, 3.0),), (1e-3, 1e-3 / 10, 1e-3 / 10 / 10)),
+        (((0.0, 3.0), (0.0, 4.0)), (1e-3, 1e-3 / 10, 1e-3 / 100, 1e-3 / 100 / 10)),
+    ],
+    ids=["2-d", "3-d", "4-d"],
+)
+def test_each_nested_axis_is_10x_tighter(monkeypatch, outer, expected):
+    tolerances = {}
+    adaptive = quadrature._adaptive
+
+    def spy(f, a, b, spec, *args):
+        tolerances.setdefault(b, set()).add((spec.abs_tol, spec.rel_tol))
+        return adaptive(f, a, b, spec, *args)
+
+    monkeypatch.setattr(quadrature, "_adaptive", spy)
+    inner = ((0.0, 1.0), (0.0, 2.0))
+    spec = QuadSpec(abs_tol=1e-3, rel_tol=1e-3)
+    if outer:
+        integrate_4d(lambda *x: np.cos(sum(x)), outer, inner, spec)
+    else:
+        integrate_2d(lambda u, v: np.cos(u + v), inner, spec)
+    ends = [hi for _, hi in outer + inner]
+    assert [tolerances[b] for b in ends] == [{(tol, tol)} for tol in expected]
 
 
 # -- adaptivity properties ---------------------------------------------------------
