@@ -69,6 +69,10 @@ def build_integrand(problem: BracketProblem) -> Expr:
     :func:`bracket` before building the integrand).
     """
     problem.validate()
+    return _integrand(problem)
+
+
+def _integrand(problem: BracketProblem) -> Expr:
     u, v = problem.domain.coords
     jacobian = BinOp(
         "-",
@@ -86,26 +90,31 @@ def build_integrand(problem: BracketProblem) -> Expr:
 def bracket(problem: BracketProblem, spec: QuadSpec | None = None) -> BracketResult:
     """Evaluate the bracket; raises :class:`NormalizationError` for densities
     whose mass :func:`densbrackets.geometry.check_mass` rejects."""
-    problem.validate()
+    # each expression's variables are checked once; with auto-normalization
+    # density_mass checks rho's
+    domain = problem.domain
+    require_domain_vars(domain, problem.tau, "conformal factor")
+    if not problem.auto_normalize:
+        require_domain_vars(domain, problem.rho, "density")
+    require_domain_vars(domain, problem.f, "function f")
+    require_domain_vars(domain, problem.h, "function h")
     spec = spec or QuadSpec()
 
     norm_const = None
     mass_evals = 0
     effective = problem
     if problem.auto_normalize:
-        mass = check_mass(
-            problem.rho, density_mass(problem.domain, problem.rho, spec)
-        )
+        mass = check_mass(problem.rho, density_mass(domain, problem.rho, spec))
         mass_evals = mass.n_evals
         norm_const = mass.value
         effective = replace(
             problem, rho=simplify(BinOp("/", problem.rho, Const(mass.value)))
         )
 
-    integrand = build_integrand(effective)
-    with compiled_kernel(integrand, problem.domain.coords) as kernel:
-        result = integrate_2d(kernel, problem.domain.box, spec)
-    result = result.scaled(problem.domain.prefactor)
+    integrand = _integrand(effective)
+    with compiled_kernel(integrand, domain.coords) as kernel:
+        result = integrate_2d(kernel, domain.box, spec)
+    result = result.scaled(domain.prefactor)
     return BracketResult(
         value=result.value,
         error_estimate=result.error_estimate,

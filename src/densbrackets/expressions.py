@@ -456,99 +456,94 @@ def evaluate(expr: Expr, bindings: Bindings) -> float:
 def diff(expr: Expr, variable: str) -> Expr:
     """Exact symbolic partial derivative with respect to ``variable``.
 
-    The result is not simplified; pass it through :func:`simplify` if a
-    compact tree is wanted.  Conventions: d|u|/du is ``sign(u)`` with
-    ``sign(0) = 0``, and d besseli0(u)/du = besseli1(u).
+    The result is one rewrite pass of :func:`simplify` over the raw
+    derivative (sum, product, quotient, power and chain rules applied
+    literally): each node is built through the rewrite rules, and each
+    operand copied from ``expr`` goes through the pass once.  Pass it
+    through :func:`simplify` for the fixed point.  Conventions: d|u|/du is
+    ``sign(u)`` with ``sign(0) = 0``, and d besseli0(u)/du = besseli1(u).
     """
+    memo: _PassMemo = {}
+    with np.errstate(all="ignore"):
+        return _diff(expr, variable, lambda node: _simplify_pass(node, memo))
+
+
+def _diff(expr: Expr, variable: str, s: Callable[[Expr], Expr]) -> Expr:
+    """The derivative of ``expr``; ``s`` maps its operands to their
+    rewritten copies."""
+    binop, call = _rewrite_binop, _rewrite_call
     if isinstance(expr, (Const, NamedConst)):
         return Const(0.0)
     if isinstance(expr, Var):
         return Const(1.0 if expr.name == variable else 0.0)
     if isinstance(expr, BinOp):
         u, v = expr.left, expr.right
-        du = diff(u, variable)
-        dv = diff(v, variable)
+        du = _diff(u, variable, s)
+        dv = _diff(v, variable, s)
         op = expr.op
-        if op == "+":
-            return BinOp("+", du, dv)
-        if op == "-":
-            return BinOp("-", du, dv)
+        if op in "+-":
+            return binop(op, du, dv)
         if op == "*":
-            return BinOp("+", BinOp("*", du, v), BinOp("*", u, dv))
+            return binop("+", binop("*", du, s(v)), binop("*", s(u), dv))
         if op == "/":
-            num_ = BinOp("-", BinOp("*", du, v), BinOp("*", u, dv))
-            return BinOp("/", num_, BinOp("^", v, Const(2.0)))
+            num_ = binop("-", binop("*", du, s(v)), binop("*", s(u), dv))
+            return binop("/", num_, binop("^", s(v), Const(2.0)))
         if op == "^":
             if isinstance(v, Const):
                 # power rule: n u^(n-1) u'
-                return BinOp(
-                    "*",
-                    BinOp("*", v, BinOp("^", u, Const(v.value - 1.0))),
-                    du,
-                )
+                power = binop("^", s(u), Const(v.value - 1.0))
+                return binop("*", binop("*", v, power), du)
             # general: u^v (v' ln u + v u'/u)
-            bracket = BinOp(
+            bracket = binop(
                 "+",
-                BinOp("*", dv, Call("ln", u)),
-                BinOp("*", v, BinOp("/", du, u)),
+                binop("*", dv, call("ln", s(u))),
+                binop("*", s(v), binop("/", du, s(u))),
             )
-            return BinOp("*", expr, bracket)
+            return binop("*", s(expr), bracket)
     if isinstance(expr, Call):
         u = expr.arg
-        du = diff(u, variable)
-        outer = _function_derivative(expr.fn, u)
-        return BinOp("*", outer, du)
+        du = _diff(u, variable, s)
+        return binop("*", _function_derivative(expr.fn, s(u)), du)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
 def _function_derivative(fn: str, u: Expr) -> Expr:
+    """d fn(u)/du, built through the rewrite rules over a rewritten ``u``."""
+    binop, call = _rewrite_binop, _rewrite_call
     if fn == "sin":
-        return Call("cos", u)
+        return call("cos", u)
     if fn == "cos":
-        return BinOp("-", Const(0.0), Call("sin", u))
+        return binop("-", Const(0.0), call("sin", u))
     if fn == "tan":
-        return BinOp("/", Const(1.0), BinOp("^", Call("cos", u), Const(2.0)))
+        return binop("/", Const(1.0), binop("^", call("cos", u), Const(2.0)))
     if fn == "exp":
-        return Call("exp", u)
+        return call("exp", u)
     if fn == "ln":
-        return BinOp("/", Const(1.0), u)
+        return binop("/", Const(1.0), u)
     if fn == "sqrt":
-        return BinOp("/", Const(1.0), BinOp("*", Const(2.0), Call("sqrt", u)))
+        return binop("/", Const(1.0), binop("*", Const(2.0), call("sqrt", u)))
     if fn == "abs":
-        return Call("sign", u)
+        return call("sign", u)
     if fn == "sign":
         return Const(0.0)  # derivative almost everywhere
-    if fn == "arcsin":
-        return BinOp(
-            "/",
-            Const(1.0),
-            Call("sqrt", BinOp("-", Const(1.0), BinOp("^", u, Const(2.0)))),
-        )
-    if fn == "arccos":
-        return BinOp(
-            "-",
-            Const(0.0),
-            BinOp(
-                "/",
-                Const(1.0),
-                Call("sqrt", BinOp("-", Const(1.0), BinOp("^", u, Const(2.0)))),
-            ),
-        )
+    if fn in ("arcsin", "arccos"):
+        root = call("sqrt", binop("-", Const(1.0), binop("^", u, Const(2.0))))
+        d = binop("/", Const(1.0), root)
+        return d if fn == "arcsin" else binop("-", Const(0.0), d)
     if fn == "arctan":
-        return BinOp(
-            "/", Const(1.0), BinOp("+", Const(1.0), BinOp("^", u, Const(2.0)))
-        )
+        square = binop("^", u, Const(2.0))
+        return binop("/", Const(1.0), binop("+", Const(1.0), square))
     if fn == "erf":
         # (2/sqrt(pi)) e^(-u^2)
-        coeff = BinOp("/", Const(2.0), Call("sqrt", PI))
-        gauss = Call("exp", BinOp("-", Const(0.0), BinOp("^", u, Const(2.0))))
-        return BinOp("*", coeff, gauss)
+        coeff = binop("/", Const(2.0), call("sqrt", PI))
+        gauss = call("exp", binop("-", Const(0.0), binop("^", u, Const(2.0))))
+        return binop("*", coeff, gauss)
     if fn == "besseli0":
-        return Call("besseli1", u)
+        return call("besseli1", u)
     if fn == "besseli1":
         # I1'(u) = I0(u) - I1(u)/u; evaluating this at u = 0 raises a
         # division error even though the limit (1/2) exists.
-        return BinOp("-", Call("besseli0", u), BinOp("/", Call("besseli1", u), u))
+        return binop("-", call("besseli0", u), binop("/", call("besseli1", u), u))
     raise TypeError(f"unknown function {fn!r}")
 
 
@@ -692,29 +687,47 @@ def simplify(expr: Expr) -> Expr:
 
     Rewrites may extend the domain (e.g. ``cos(arccos(u)) -> u`` is defined
     for all ``u``); on points where the input is defined the value is
-    preserved exactly up to floating-point evaluation order.
+    preserved exactly up to floating-point evaluation order.  A tree at the
+    fixed point comes back as the same object.
     """
     current = expr
+    memo: _PassMemo = {}
     with np.errstate(all="ignore"):
         for _ in range(_MAX_SIMPLIFY_PASSES):
-            rewritten = _simplify_pass(current)
-            if rewritten == current:
-                return rewritten
+            rewritten = _simplify_pass(current, memo)
+            if rewritten is current:
+                return current
             current = rewritten
     return current
 
 
-def _simplify_pass(expr: Expr) -> Expr:
+# A pass maps each node to the same result whenever it meets it, so one memo
+# serves every pass of a call: id(node) -> (node, result).  Holding the node
+# keeps its id from being reused while the memo lives.
+_PassMemo = dict[int, tuple[Expr, Expr]]
+
+
+def _simplify_pass(expr: Expr, memo: _PassMemo) -> Expr:
+    """One bottom-up pass of the rules; ``expr`` itself when none fires at
+    or below it.  Nodes are built only where a child changed or a rule
+    fired, and a subtree met before is not walked again."""
     if isinstance(expr, (Const, NamedConst, Var)):
         return expr
+    hit = memo.get(id(expr))
+    if hit is not None:
+        return hit[1]
     if isinstance(expr, Call):
-        arg = _simplify_pass(expr.arg)
-        return _rewrite_call(expr.fn, arg)
-    if isinstance(expr, BinOp):
-        left = _simplify_pass(expr.left)
-        right = _simplify_pass(expr.right)
-        return _rewrite_binop(expr.op, left, right)
-    raise TypeError(f"not an expression node: {expr!r}")
+        arg = _simplify_pass(expr.arg, memo)
+        out = _rewrite_call(expr.fn, arg, expr if arg is expr.arg else None)
+    elif isinstance(expr, BinOp):
+        left = _simplify_pass(expr.left, memo)
+        right = _simplify_pass(expr.right, memo)
+        same = left is expr.left and right is expr.right
+        out = _rewrite_binop(expr.op, left, right, expr if same else None)
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    memo[id(expr)] = (expr, out)
+    return out
 
 
 def _const_value(expr: Expr) -> float | None:
@@ -751,53 +764,60 @@ def _contains_sqrt(expr: Expr) -> bool:
     return False
 
 
-def _rewrite_call(fn: str, arg: Expr) -> Expr:
-    node = Call(fn, arg)
+def _rewrite_call(fn: str, arg: Expr, node: Call | None = None) -> Expr:
+    """``fn(arg)`` after the call rules.  ``node``, if given, is that call;
+    it is returned as is when no rule fires."""
     if isinstance(arg, Const):
         try:
-            return Const(_checked(node, (arg.value,)))
+            return Const(_checked(node or Call(fn, arg), (arg.value,)))
         except DomainError:
             pass  # out of domain: keep symbolic, evaluation will report it
-    if fn == "cos" and isinstance(arg, Call) and arg.fn == "arccos":
-        return arg.arg
-    if fn == "sin" and isinstance(arg, Call) and arg.fn == "arccos":
-        u = arg.arg
-        return Call("sqrt", BinOp("-", Const(1.0), BinOp("^", u, Const(2.0))))
-    return node
+    elif isinstance(arg, Call) and arg.fn == "arccos":
+        if fn == "cos":
+            return arg.arg
+        if fn == "sin":
+            u = arg.arg
+            return Call("sqrt", BinOp("-", Const(1.0), BinOp("^", u, Const(2.0))))
+    return node or Call(fn, arg)
 
 
-def _rewrite_binop(op: str, left: Expr, right: Expr) -> Expr:
-    node = BinOp(op, left, right)
+def _rewrite_binop(
+    op: str, left: Expr, right: Expr, node: BinOp | None = None
+) -> Expr:
+    """``left op right`` after the operator rules.  ``node``, if given, is
+    that operation; it is returned as is when no rule fires."""
     lv, rv = _const_value(left), _const_value(right)
     if lv is not None and rv is not None:
+        node = node or BinOp(op, left, right)
         try:
             return Const(_checked(node, (lv, rv)))
         except DomainError:
             return node  # undefined constant (e.g. 1/0): leave for evaluation
+    # a missing value (None) equals neither 0 nor 1
     if op == "*":
-        if _is_zero(left) or _is_zero(right):
+        if lv == 0.0 or rv == 0.0:
             return Const(0.0)
-        if _is_one(left):
+        if lv == 1.0:
             return right
-        if _is_one(right):
+        if rv == 1.0:
             return left
     elif op == "+":
-        if _is_zero(left):
+        if lv == 0.0:
             return right
-        if _is_zero(right):
+        if rv == 0.0:
             return left
     elif op == "-":
-        if _is_zero(right):
+        if rv == 0.0:
             return left
     elif op == "/":
-        if _is_one(right):
+        if rv == 1.0:
             return left
     elif op == "^":
-        return _rewrite_pow(left, right)
-    return node
+        return _rewrite_pow(left, right, node)
+    return node or BinOp(op, left, right)
 
 
-def _rewrite_pow(base: Expr, exponent: Expr) -> Expr:
+def _rewrite_pow(base: Expr, exponent: Expr, node: BinOp | None) -> Expr:
     if _is_one(exponent):
         return base
     if _is_zero(exponent):
@@ -821,7 +841,7 @@ def _rewrite_pow(base: Expr, exponent: Expr) -> Expr:
                 BinOp("^", base.left, e),
                 BinOp("^", base.right, e),
             )
-    return BinOp("^", base, exponent)
+    return node or BinOp("^", base, exponent)
 
 
 # -- compiled kernels ---------------------------------------------------------------

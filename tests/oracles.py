@@ -1,9 +1,11 @@
 """Independent high-precision oracles shared by the test modules.
 
-Everything here is derived from defining series or closed forms in mpmath
-50-digit arithmetic (or the math module where exact), never from the package
-under test.  Frozen constants are reproduced by the functions below; a test
-in test_specials.py guards that correspondence.
+Everything numeric here is derived from defining series or closed forms in
+mpmath 50-digit arithmetic (or the math module where exact), never from the
+package under test.  Frozen constants are reproduced by the functions below;
+a test in test_specials.py guards that correspondence.  :func:`raw_diff` is
+a reference differentiator over the package's tree nodes: the textbook rules
+applied literally, with no rewriting.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 
 import mpmath
+
+from densbrackets.expressions import PI, BinOp, Call, Const, Expr, NamedConst, Var
 
 mpmath.mp.dps = 50
 
@@ -171,3 +175,100 @@ def check_closed_forms() -> None:
     c_measure, c_literal = gauss_masses_oracle()
     assert GAUSS_MASS_CONST_LITERAL == float(c_literal)
     assert GAUSS_ROTATION_AREA_LITERAL == float((mpmath.pi / 2) ** 2 * c_literal / c_measure)
+
+
+# -- reference differentiation -------------------------------------------------
+
+
+def raw_diff(expr: Expr, variable: str) -> Expr:
+    """d expr / d variable as the raw tree of the sum, product, quotient,
+    power and chain rules, with no rewriting.  Conventions as in
+    ``densbrackets.expressions.diff``: d|u|/du = sign(u), d besseli0 =
+    besseli1."""
+    if isinstance(expr, (Const, NamedConst)):
+        return Const(0.0)
+    if isinstance(expr, Var):
+        return Const(1.0 if expr.name == variable else 0.0)
+    if isinstance(expr, BinOp):
+        u, v = expr.left, expr.right
+        du = raw_diff(u, variable)
+        dv = raw_diff(v, variable)
+        op = expr.op
+        if op == "+":
+            return BinOp("+", du, dv)
+        if op == "-":
+            return BinOp("-", du, dv)
+        if op == "*":
+            return BinOp("+", BinOp("*", du, v), BinOp("*", u, dv))
+        if op == "/":
+            num_ = BinOp("-", BinOp("*", du, v), BinOp("*", u, dv))
+            return BinOp("/", num_, BinOp("^", v, Const(2.0)))
+        if op == "^":
+            if isinstance(v, Const):
+                # power rule: n u^(n-1) u'
+                return BinOp(
+                    "*",
+                    BinOp("*", v, BinOp("^", u, Const(v.value - 1.0))),
+                    du,
+                )
+            # general: u^v (v' ln u + v u'/u)
+            bracket = BinOp(
+                "+",
+                BinOp("*", dv, Call("ln", u)),
+                BinOp("*", v, BinOp("/", du, u)),
+            )
+            return BinOp("*", expr, bracket)
+    if isinstance(expr, Call):
+        u = expr.arg
+        du = raw_diff(u, variable)
+        outer = _raw_function_derivative(expr.fn, u)
+        return BinOp("*", outer, du)
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _raw_function_derivative(fn: str, u: Expr) -> Expr:
+    if fn == "sin":
+        return Call("cos", u)
+    if fn == "cos":
+        return BinOp("-", Const(0.0), Call("sin", u))
+    if fn == "tan":
+        return BinOp("/", Const(1.0), BinOp("^", Call("cos", u), Const(2.0)))
+    if fn == "exp":
+        return Call("exp", u)
+    if fn == "ln":
+        return BinOp("/", Const(1.0), u)
+    if fn == "sqrt":
+        return BinOp("/", Const(1.0), BinOp("*", Const(2.0), Call("sqrt", u)))
+    if fn == "abs":
+        return Call("sign", u)
+    if fn == "sign":
+        return Const(0.0)
+    if fn == "arcsin":
+        return BinOp(
+            "/",
+            Const(1.0),
+            Call("sqrt", BinOp("-", Const(1.0), BinOp("^", u, Const(2.0)))),
+        )
+    if fn == "arccos":
+        return BinOp(
+            "-",
+            Const(0.0),
+            BinOp(
+                "/",
+                Const(1.0),
+                Call("sqrt", BinOp("-", Const(1.0), BinOp("^", u, Const(2.0)))),
+            ),
+        )
+    if fn == "arctan":
+        return BinOp(
+            "/", Const(1.0), BinOp("+", Const(1.0), BinOp("^", u, Const(2.0)))
+        )
+    if fn == "erf":
+        coeff = BinOp("/", Const(2.0), Call("sqrt", PI))
+        gauss = Call("exp", BinOp("-", Const(0.0), BinOp("^", u, Const(2.0))))
+        return BinOp("*", coeff, gauss)
+    if fn == "besseli0":
+        return Call("besseli1", u)
+    if fn == "besseli1":
+        return BinOp("-", Call("besseli0", u), BinOp("/", Call("besseli1", u), u))
+    raise TypeError(f"unknown function {fn!r}")

@@ -59,6 +59,23 @@ def test_integrand_rejects_foreign_variables():
         build_integrand(_problem(SQUARE, "1", "1", "x", "theta"))
 
 
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize(
+    "field, what",
+    [
+        ("tau", "conformal factor"),
+        ("rho", "density"),
+        ("f", "function f"),
+        ("h", "function h"),
+    ],
+)
+def test_bracket_rejects_foreign_variables(field, what, normalize):
+    texts = {"tau": "1", "rho": "1", "f": "x", "h": "y", field: "x + theta"}
+    problem = _problem(SQUARE, *texts.values(), auto_normalize=normalize)
+    with pytest.raises(GeometryError, match=f"^{what} 'x \\+ theta' uses variables"):
+        bracket(problem)
+
+
 # -- bracket values ----------------------------------------------------------------
 
 

@@ -30,8 +30,13 @@ from densbrackets.expressions import (
     to_text,
 )
 
-from conftest import SMOOTH_FUNCTIONS, assert_value_equal, random_expr
-from oracles import ERF_SQRT2_OVER_2, I0_AT_1, I1_AT_1, TWO_OVER_SQRT_PI
+from conftest import (
+    SMOOTH_FUNCTIONS,
+    TREE_FUNCTIONS,
+    assert_value_equal,
+    random_expr,
+)
+from oracles import ERF_SQRT2_OVER_2, I0_AT_1, I1_AT_1, TWO_OVER_SQRT_PI, raw_diff
 
 
 # -- parsing ------------------------------------------------------------------
@@ -209,6 +214,19 @@ def test_diff_absent_variable_is_zero():
             assert v == 0.0
 
 
+def test_diff_simplifies_to_the_raw_derivative_fixed_point():
+    # diff builds through the rewrite rules; the fixed point is the one of
+    # the textbook tree, node for node and bit for bit
+    rng = random.Random(23)
+    functions = TREE_FUNCTIONS + ("besseli1", "sign")
+    for _ in range(300):
+        e = random_expr(rng, rng.randint(2, 5), ("x", "y"), functions=functions)
+        for variable in ("x", "y", "z"):
+            got = simplify(diff(e, variable))
+            want = simplify(raw_diff(e, variable))
+            assert got == want and repr(got) == repr(want), to_text(e)
+
+
 def _finite_difference_check(n_cases: int, seed: int) -> None:
     rng = random.Random(seed)
     checked = 0
@@ -328,6 +346,16 @@ def test_simplify_preserves_value_on_random_trees():
             continue
         assert abs(v - w) <= 1e-12 * (1.0 + abs(v))
         checked += 1
+
+
+def test_simplify_returns_a_simplified_tree_itself():
+    rng = random.Random(29)
+    for _ in range(200):
+        s = simplify(random_expr(rng, 5, ("x", "y")))
+        assert simplify(s) is s
+    for text in ("x", "pi", "sin(x)*y^3 - 2/x", "sqrt(x + 1)^3"):
+        s = simplify(parse(text))
+        assert simplify(s) is s
 
 
 def test_simplify_does_not_fold_undefined_constants():
