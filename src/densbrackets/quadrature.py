@@ -34,7 +34,8 @@ Integrands are numpy-broadcasting callables ``f(*coords)``, such as the
 kernels of :func:`densbrackets.expressions.compile_expr`: every coordinate,
 outer ones included, arrives as an array, and the result may be anything
 that broadcasts against them (a Python float included).  The quadrature
-leaf broadcasts it to the full node grid.  Any NaN or infinity aborts the
+leaf copies it to a C-ordered array on the full node grid, so the form of
+the result does not change any sum.  Any NaN or infinity aborts the
 integration with every coordinate of the offending point reported; a panel
 sum that is not finite although every value was raises
 :class:`DivergentIntegralError`.
@@ -473,8 +474,9 @@ def _iterated(
             return _fan_out(g, groups[1:], specs[1:], run, coords)
         shape = np.broadcast(*coords).shape
         values = np.asarray(g(*coords), dtype=float)
-        if values.shape != shape:
-            values = np.broadcast_to(values, shape)
+        # _evaluate's sums depend on the memory layout: hand it a C-order grid
+        if values.shape != shape or not values.flags.c_contiguous:
+            values = np.ascontiguousarray(np.broadcast_to(values, shape))
         # a sum of finite values can overflow; only then look at each value
         if not math.isfinite(values.sum()) and not np.isfinite(values).all():
             idx = tuple(np.argwhere(~np.isfinite(values))[0])

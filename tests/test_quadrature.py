@@ -93,24 +93,17 @@ def test_integral_bessel_period():
 
 
 # The same constant integrand, returned by the kernel as a Python float and
-# in three other forms; the quadrature leaf broadcasts each to the node grid.
+# in four other forms; the quadrature leaf copies each to a C-ordered node
+# grid.
 @pytest.mark.parametrize(
     "form",
     [
         lambda *x: np.array(0.3),
         lambda *x: np.full(np.shape(x[-2]), 0.3),
-        pytest.param(
-            lambda *x: np.full(np.broadcast(*x).shape, 0.3),
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="the G7/K15 matrix-vector products of _evaluate sum a "
-                "stride-0 broadcast in another order than a contiguous array, "
-                "so the last bit of the value or error estimate differs",
-            ),
-        ),
+        lambda *x: np.full(np.broadcast(*x).shape, 0.3),
+        lambda *x: np.full(np.broadcast(*x).shape, 0.3, order="F"),
     ],
-    ids=["0-d array", "some axes", "full shape"],
+    ids=["0-d array", "some axes", "full shape", "full shape, F order"],
 )
 @pytest.mark.parametrize(
     "run",
