@@ -32,6 +32,12 @@ one slot per distinct subtree, each step a numpy operation.
 at one point with each step's domain rule checked, and :func:`simplify`
 folds constants through the same checked step.  So strict values, folded
 constants and kernel entries agree bit for bit.
+
+Nodes are frozen, slotted dataclasses with the generated ``==``, ``hash``
+and ``repr``.  Their ``__init__`` is written by hand and stores each field
+through its slot descriptor, which skips the frozen ``__setattr__`` that
+assignment still goes through (and fails on); this halves the cost of
+building a node.  ``Const`` stores its value as a Python ``float``.
 """
 
 from __future__ import annotations
@@ -120,24 +126,34 @@ class Expr:
 class Const(Expr):
     value: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+    def __init__(self, value: float):
+        _set_const_value(self, float(value))
 
 
 @dataclass(frozen=True, slots=True)
 class NamedConst(Expr):
     name: str  # "pi" | "e"
 
+    def __init__(self, name: str):
+        _set_named_name(self, name)
+
 
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
+
+    def __init__(self, name: str):
+        _set_var_name(self, name)
 
 
 @dataclass(frozen=True, slots=True)
 class Call(Expr):
     fn: str
     arg: Expr
+
+    def __init__(self, fn: str, arg: Expr):
+        _set_call_fn(self, fn)
+        _set_call_arg(self, arg)
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,6 +162,24 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
+    def __init__(self, op: str, left: Expr, right: Expr):
+        _set_binop_op(self, op)
+        _set_binop_left(self, left)
+        _set_binop_right(self, right)
+
+
+# The __init__ methods above write through the slot descriptors, past the
+# frozen __setattr__ that refuses every assignment.  The descriptors exist
+# only once the decorator has rebuilt each class with slots, so they are
+# looked up here.
+_set_const_value = Const.__dict__["value"].__set__
+_set_named_name = NamedConst.__dict__["name"].__set__
+_set_var_name = Var.__dict__["name"].__set__
+_set_call_fn = Call.__dict__["fn"].__set__
+_set_call_arg = Call.__dict__["arg"].__set__
+_set_binop_op = BinOp.__dict__["op"].__set__
+_set_binop_left = BinOp.__dict__["left"].__set__
+_set_binop_right = BinOp.__dict__["right"].__set__
 
 PI = NamedConst("pi")
 E = NamedConst("e")

@@ -5,7 +5,9 @@ mpmath 50-digit arithmetic (or the math module where exact), never from the
 package under test.  Frozen constants are reproduced by the functions below;
 a test in test_specials.py guards that correspondence.  :func:`raw_diff` is
 a reference differentiator over the package's tree nodes: the textbook rules
-applied literally, with no rewriting.
+applied literally, with no rewriting.  :func:`bessel_series_per_term` is the
+package's I0/I1 array series with its stopping test after every term, the
+reference for the bits of the package's version, which tests less often.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 
 from densbrackets.expressions import PI, BinOp, Call, Const, Expr, NamedConst, Var
 
@@ -52,6 +55,30 @@ def besseli_oracle(order: int, x: float) -> float:
             break
         k += 1
     return float(total)
+
+
+def bessel_series_per_term(x, order: int) -> np.ndarray:
+    """I0 (order 0) or I1 (order 1) elementwise by the ascending series in
+    doubles, stopped at the first term after which every term/sum ratio is
+    at most 1e-17."""
+    x = np.asarray(x, dtype=float)
+    x2 = 0.25 * x * x
+    if order == 0:
+        term = np.ones_like(x2)
+    else:
+        term = 0.5 * x.copy()
+    total = term.copy()
+    k = 1
+    while True:
+        if order == 0:
+            term = term * x2 / (k * k)
+        else:
+            term = term * x2 / (k * (k + 1))
+        total += term
+        denom = np.maximum(np.abs(total), 1e-300)
+        if not (np.abs(term) / denom > 1e-17).any():
+            return total
+        k += 1
 
 
 # Spot values produced by the oracles above.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -160,6 +161,51 @@ def test_expressions_are_immutable():
     e = parse("x + 1")
     with pytest.raises(AttributeError):
         e.op = "*"  # type: ignore[misc]
+    nodes = [
+        Const(2.0),
+        NamedConst("pi"),
+        Var("x"),
+        Call("sin", Var("x")),
+        BinOp("+", Var("x"), Const(1.0)),
+    ]
+    for node in nodes:
+        before = repr(node)
+        for field in dataclasses.fields(node):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, field.name, Var("y"))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, field.name)
+        assert repr(node) == before
+
+
+def test_const_value_is_a_python_float():
+    for value in (np.float64(2), 2, np.int64(2), np.array(2.0)):
+        c = Const(value)
+        assert type(c.value) is float and c.value == 2.0
+    assert math.copysign(1.0, Const(-0.0).value) == -1.0
+
+
+def test_parsed_tree_repr():
+    assert repr(parse("sin(x)^2 - pi*y/2")) == (
+        "BinOp(op='-', "
+        "left=BinOp(op='^', left=Call(fn='sin', arg=Var(name='x')), "
+        "right=Const(value=2.0)), "
+        "right=BinOp(op='/', "
+        "left=BinOp(op='*', left=NamedConst(name='pi'), right=Var(name='y')), "
+        "right=Const(value=2.0)))"
+    )
+
+
+def test_equal_trees_hash_equal():
+    rng = random.Random(11)
+    for _ in range(50):
+        text = to_text(random_expr(rng, 4, ("x", "y")))
+        e, twin = parse(text), parse(text)
+        assert twin == e and twin is not e
+        assert hash(twin) == hash(e)
+        assert len({e, twin}) == 1
+    assert Const(np.float64(0.5)) == Const(0.5)
+    assert hash(Const(np.float64(0.5))) == hash(Const(0.5))
 
 
 # -- differentiation ------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""In-repo erf/besseli0/besseli1 against high-precision series oracles."""
+"""erf/besseli0/besseli1 against high-precision series oracles, erf against
+the C library bit for bit, and the Bessel series against its per-term
+reference."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from oracles import (
     I0_AT_1,
     I0_AT_1_SQUARED,
     I1_AT_1,
+    bessel_series_per_term,
     besseli_oracle,
     check_closed_forms,
     erf_oracle,
@@ -90,3 +93,75 @@ def test_erf_at_infinity_without_warnings():
     assert list(out[:2]) == [1.0, -1.0]
     # finite entries are the ones computed without the infinities
     np.testing.assert_array_equal(out[2:], erf(x[2:]))
+
+
+# Zeros of both signs, the smallest subnormal, the old series/continued
+# fraction switch point, the far tails, the infinities and NaN.
+ERF_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.3, -0.7, 2.0, -2.0,
+    np.nextafter(2.0, 3.0), 3.5, 6.0, -6.0, 27.0, np.inf, -np.inf, np.nan,
+]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _libm_erf(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return np.array([math.erf(v) for v in x.ravel()], dtype=float).reshape(x.shape)
+
+
+def test_erf_is_libm_erf_on_floats_and_0d():
+    for v in ERF_EDGES:
+        for form in (float(v), np.float64(v), np.array(v)):
+            out = erf(form)
+            assert np.shape(out) == ()
+            assert _bits(out) == _bits(math.erf(v)), v
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda a: a,
+        lambda a: np.repeat(a, 3)[1::3],
+        lambda a: np.stack([a, -a, 2 * a])[:, ::-1].T,
+        lambda a: np.broadcast_to(a[:, None], (a.size, 4)),
+        lambda a: np.broadcast_to(a, (3, a.size)),
+    ],
+    ids=["1-d", "strided", "transposed", "broadcast-column", "broadcast-row"],
+)
+def test_erf_is_libm_erf_on_arrays(form):
+    x = form(np.array(ERF_EDGES))
+    out = erf(x)
+    assert out.shape == x.shape and out.dtype == np.float64
+    np.testing.assert_array_equal(_bits(out), _bits(_libm_erf(x)))
+
+
+def _bessel_cases():
+    rng = np.random.default_rng(20261018)
+    spread = lambda shape: rng.uniform(-1, 1, shape) * 10.0 ** rng.uniform(-3, np.log10(720), shape)
+    overflow = np.array([705.0, 705.8, 706.0, 713.0, -713.0, 715.0, -720.0, 720.0])
+    return [
+        spread(50),
+        spread((7, 9)),
+        rng.uniform(-720, 720, (30, 1)),
+        np.concatenate([spread(20), overflow, -overflow, [0.0, -0.0]]),
+        rng.uniform(690, 720, (4, 5)) * rng.choice([-1.0, 1.0], (4, 5)),
+        np.array(rng.uniform(-720, 720)),
+        float(rng.uniform(-30, 30)),
+    ]
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_bessel_matches_per_term_reference(order):
+    fn = besseli0 if order == 0 else besseli1
+    saw_overflow = False
+    for x in _bessel_cases():
+        with np.errstate(all="ignore"):
+            out = fn(x)
+            want = bessel_series_per_term(x, order)
+        assert np.shape(out) == np.shape(x)
+        np.testing.assert_array_equal(_bits(out), _bits(want))
+        saw_overflow |= bool(np.isinf(out).any())
+    assert saw_overflow
