@@ -140,7 +140,11 @@ def test_erf_is_libm_erf_on_arrays(form):
 
 def _bessel_cases():
     rng = np.random.default_rng(20261018)
-    spread = lambda shape: rng.uniform(-1, 1, shape) * 10.0 ** rng.uniform(-3, np.log10(720), shape)
+
+    def spread(shape):
+        # both signs; magnitudes below 720, spread over about six decades
+        return rng.uniform(-1, 1, shape) * 10.0 ** rng.uniform(-3, np.log10(720), shape)
+
     overflow = np.array([705.0, 705.8, 706.0, 713.0, -713.0, 715.0, -720.0, 720.0])
     return [
         spread(50),
