@@ -45,6 +45,7 @@ subexpression and all four coordinates of the point reported, the fixed
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .expressions import (
@@ -219,7 +220,8 @@ def area(problem: AreaProblem, spec: QuadSpec | None = None) -> QuadResult:
     :func:`_t_invariant`), the outer integration runs over s alone with t at
     the midpoint of I2, so phi and theta run at /10 and /100, and the result
     is multiplied by ``|I2|``; the absolute tolerance is divided by ``|I2|``
-    so that it still holds on the 4-d scale.  A non-converged result
+    so that it still holds on the 4-d scale, and kept between the smallest
+    and the largest positive double.  A non-converged result
     (tolerance or budget exhausted) is returned with ``converged=False``
     rather than raised.
     """
@@ -232,7 +234,8 @@ def area(problem: AreaProblem, spec: QuadSpec | None = None) -> QuadResult:
         # names all four coordinates of a point of the patch
         variables, fixed = ("t", "s", "phi", "theta"), (0.5 * (t_lo + t_hi),)
         outer = (problem.s_interval,)
-        spec = replace(spec, abs_tol=max(spec.abs_tol / width, math.ulp(0.0)))
+        abs_tol = min(max(spec.abs_tol / width, math.ulp(0.0)), sys.float_info.max)
+        spec = replace(spec, abs_tol=abs_tol)
     else:
         width, variables, fixed = 1.0, _VARS, ()
         outer = (problem.s_interval, problem.t_interval)

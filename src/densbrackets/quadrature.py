@@ -3,8 +3,9 @@
 The only rule is the embedded G7/K15 pair.  One axis is integrated by
 globally adaptive bisection: the interval with the largest local error
 estimate ``|G - K|`` is split first, ties broken by the leftmost interval,
-and the final value is a compensated (Kahan) sum of panel contributions in
-left-to-right order.  The result is therefore a pure function of the inputs:
+until the sums over the current partition meet the tolerance.  The final
+value is a compensated (Kahan) sum of the same panels in left-to-right
+order.  The result is therefore a pure function of the inputs:
 repeat runs are bit-identical, and batched evaluation cannot change the
 reduction order.
 
@@ -266,12 +267,12 @@ def _evaluate(
     return value, err, aux
 
 
-def _check_records(panels, totals, k, outer) -> None:
+def _check_records(panels, sums, k, outer) -> None:
     """Raise :class:`DivergentIntegralError` at a panel of the first row
-    whose [value | error] totals are not finite: its first panel whose
-    value or error is not finite, else (the totals overflowed) its panel of
-    largest value.  Every integrand value was finite."""
-    rows = np.flatnonzero(~np.isfinite(totals).all(1))
+    whose [value | error] sums are not finite: its first panel whose value
+    or error is not finite, else (the sums overflowed) its panel of largest
+    value.  Every integrand value was finite."""
+    rows = np.flatnonzero(~np.isfinite(sums).all(1))
     if not len(rows):
         return
     row = rows[0]
@@ -307,9 +308,12 @@ def _adaptive(
     Each row keeps its own partition in flat arrays.  Every round, each
     unconverged row bisects its worst splittable panel (largest error, the
     leftmost on ties), and the new nodes of all rows go to ``f`` in one
-    call.  ``outer(row, k)`` gives the outer coordinates of a component, for
-    error reports.  Returns per-component (value, error_estimate), each
-    [rows, k]; the error includes the |G - K| sums and the aux error.
+    call.  After the round, a row whose panel sums meet the tolerance is
+    done; no running total is kept, so that one huge panel cannot absorb
+    the others.  ``outer(row, k)`` gives the outer coordinates of a
+    component, for error reports.  Returns per-component (value,
+    error_estimate), each [rows, k]; the error includes the |G - K| sums
+    and the aux error.
     """
     every = slice(None)
     edges = np.array([[a, b]] * rows)
@@ -337,9 +341,7 @@ def _adaptive(
     priority = ea.max(1)
     if converged:
         priority[done] = -np.inf
-    # running [value | error] totals per row
-    totals = np.concatenate([value, ea], 1)
-    panels[0] = np.concatenate([totals, edges[:, ::-1], priority[:, None]], 1)
+    panels[0] = np.concatenate([value, ea, edges[:, ::-1], priority[:, None]], 1)
     index = np.arange(rows)
     # Bisection keeps every panel of depth d at least (b - a) / 2**d - eps M
     # wide, M = max(|a|, |b|), and a panel wider than 2 eps M is splittable:
@@ -351,7 +353,7 @@ def _adaptive(
     while r < spec.max_subdivisions and not run.exhausted:
         priority = panels[..., -1]
         worst = priority.max(0)
-        # a non-finite priority stops its row; the check below reports it
+        # a non-finite priority stops its row; the final sums report it
         go = np.isfinite(worst)
         n = np.count_nonzero(go)
         if not n:
@@ -363,8 +365,7 @@ def _adaptive(
         if rows > 1:
             flat = flat * rows + i
         records = panels.reshape(-1, width)
-        old = records.take(flat, 0)
-        lo, hi = old[:, -2], old[:, -3]
+        lo, hi = records[flat, -2], records[flat, -3]
         edges = np.array((lo, 0.5 * (lo + hi), hi)).T
         if r >= narrowing and not (edges[:, 1:] > edges[:, :-1]).all():
             narrow = (edges[:, 1:] <= edges[:, :-1]).any(1)
@@ -386,20 +387,11 @@ def _adaptive(
         halves = np.concatenate(
             [hv, hea, edges[:, 1:, None], edges[:, :-1, None], worst[..., None]], 2
         )
-
-        # Running totals, updated in the order of a one-row driver: remove
-        # the split panel, then add the left and the right half.
-        t = totals[live] - old[:, : 2 * k]
-        gain = halves[..., : 2 * k] if ha is None else np.concatenate([hv, he], 2)
-        for h in (0, 1):
-            t += gain[:, h]
-            if ha is not None:
-                t[:, k:] += ha[:, h]
-        totals[live] = t
-
         records[flat] = halves[:, 0]
         panels[r, live] = halves[:, 1]
-        finished = _met(t[:, :k], t[:, k:], spec)
+        # a live row holds r + 1 panels: test the sums of its partition
+        sums = panels[: r + 1, live, : 2 * k].sum(0)
+        finished = _met(sums[:, :k], sums[:, k:], spec)
         m = int(np.count_nonzero(finished))
         if m:
             converged += m
@@ -407,8 +399,6 @@ def _adaptive(
                 break
             panels[:, i[finished], -1] = -np.inf
 
-    if not math.isfinite(totals.sum()):
-        _check_records(panels, totals, k, outer)
     run.converged = run.converged and converged == rows
     # Deterministic final reduction: each row's panels in left-to-right
     # order, compensated (Kahan) sums.  The first step of the sum from zero
@@ -431,6 +421,8 @@ def _adaptive(
         else:
             keep = (count > n)[:, None]
             total, comp = np.where(keep, t, total), np.where(keep, c, comp)
+    if not math.isfinite(total.sum()):
+        _check_records(panels, total, k, outer)
     return total[:, :k], total[:, k:]
 
 

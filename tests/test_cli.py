@@ -404,6 +404,20 @@ def test_infinite_tolerance_flag_exits_1(capsys):
     assert "--abs-tol" in err
 
 
+def test_huge_absolute_tolerance_of_a_reduced_area_runs(capsys):
+    # the reduced path divides --abs-tol by |I2| = 0.5: 2e308 would overflow
+    code, out, err = run_cli(
+        capsys,
+        "area", "--rho", "1", "--theta-map", "theta", "--phi-map", "phi + t",
+        "--s-lo", "pi/4", "--s-hi", "3*pi/4", "--t-lo", "1", "--t-hi", "1.5",
+        "--abs-tol", "1e308", "--rel-tol", "1e-3",
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["converged"] is True
+    assert payload["area"] == pytest.approx(math.pi / 4, rel=1e-12)
+
+
 def test_subnormal_tolerance_flag_runs(capsys):
     # the inner level's tolerance, 1e-323 / 10, would underflow to 0
     code, out, err = run_cli(
@@ -464,6 +478,43 @@ def test_boolean_table_key_is_checked(tmp_path, capsys):
     code, out, err = run_cli(capsys, "table", str(cfg))
     assert code == 1 and out == ""
     assert "row.normalize" in err
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "expectd = 5",  # a typo: the expected value would go unchecked
+        "quad_max_evals = 1000",  # like `bracket --max-evals`: areas only
+    ],
+)
+def test_table_key_that_the_kind_does_not_read_is_rejected(tmp_path, capsys, key):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text(
+        "[ok]\nkind = bracket\ndomain = square\nrho = 1\nf = x\nh = y\n\n"
+        f"[typo]\nkind = bracket\ndomain = square\nrho = 1\nf = x\nh = y\n{key}\n"
+    )
+    code, out, err = run_cli(capsys, "table", str(cfg))
+    assert code == 1 and out == ""  # nothing ran
+    assert "'typo'" in err and repr(key.split()[0]) in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # diverges: the row has an error and no value
+        "f = ln(x)\nh = y\n",
+        # stops short of its tolerance, within tol_abs of the expected value
+        "f = sin(x)\nh = y\nnormalize = false\nquad_max_subdivisions = 2\n"
+        "quad_abs_tol = 1e-15\nquad_rel_tol = 1e-15\ntol_abs = 1\n",
+    ],
+)
+def test_failing_row_with_an_expected_value_fails(tmp_path, capsys, body):
+    code, row = _one_row_table(
+        tmp_path, capsys, f"kind = bracket\ndomain = square\nrho = 1\n{body}expected = 1\n"
+    )
+    assert code == 2
+    assert row["converged"] is False and row["pass"] is False
+    assert row["expected"] == 1.0
 
 
 # -- fuzzing -----------------------------------------------------------------------

@@ -305,6 +305,28 @@ def test_divergent_integral_reports_every_coordinate():
     assert err.value.point == (5.0,)
 
 
+def test_convergence_is_tested_on_the_partition_itself():
+    # A node lands on fl(1/3), where the integrand is 1e300, and a panel sum
+    # of about 5.5e283 appears.  Sums carried from round to round (minus the
+    # split panel, plus its halves) absorbed the other panels into it and,
+    # once it was split away, read 2.0 +- 2.2e-16: the row stopped at
+    # 75.44 +- 0.108 with converged=True.
+    spec = QuadSpec()
+    r = integrate_1d(lambda x: 1 / (abs(x - 1 / 3) + 1e-300), 0.0, 1.0, spec)
+    assert not r.converged or r.error_estimate <= max(
+        spec.abs_tol, spec.rel_tol * abs(r.value)
+    )
+
+
+def test_panels_too_narrow_to_bisect_stop_the_row():
+    # Every panel is bisected down to one ulp; then no panel is splittable
+    # and the loop ends long before max_subdivisions.
+    tiny = QuadSpec(abs_tol=5e-324, rel_tol=5e-324)
+    r = integrate_1d(lambda x: np.sin(1e17 * x), 1.0, 1.0 + 64 * math.ulp(1.0), tiny)
+    assert not r.converged
+    assert r.n_evals == 15 + 63 * 30
+
+
 # -- 2-d ---------------------------------------------------------------------------
 
 
