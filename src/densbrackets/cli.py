@@ -44,7 +44,9 @@ builder, which reads these keys (default in parentheses):
   ``t_lo``, ``t_hi``, ``weight_mode`` (measure) and ``quad_max_evals``
   (the library's budget).
 
-Any other key is an input error that names the job and the key.
+Any other key is an input error that names the job and the key.  A key
+set in ``[DEFAULT]`` reaches every job; it must be read by some kind, and
+a job whose kind does not read it ignores it.
 
 The commands' ``--abs-tol``, ``--rel-tol``, ``--max-subdivisions`` and
 ``--max-evals`` fill the ``quad_*`` keys, ``--no-normalize`` sets
@@ -174,6 +176,7 @@ _KIND_KEYS = {
     },
 }
 _JOB_KINDS = tuple(_KIND_KEYS)
+_ANY_KIND_KEYS = _COMMON_KEYS.union(*_KIND_KEYS.values())
 
 # Single-command flags (argparse dests) that fill a job key of another name.
 _FLAG_KEYS = {
@@ -205,8 +208,17 @@ def _result_fields(r) -> dict[str, Any]:
     }
 
 
-def _build_job(label: str, section, where: Callable[[str], str] | None = None) -> _Job:
-    """Parse and validate one job; ``where(key)`` names a key in messages."""
+def _build_job(
+    label: str,
+    section,
+    where: Callable[[str], str] | None = None,
+    inherited: frozenset[str] = frozenset(),
+) -> _Job:
+    """Parse and validate one job; ``where(key)`` names a key in messages.
+
+    ``inherited`` holds the keys that ``section`` takes from ``[DEFAULT]``;
+    they need not be read by the job's kind.
+    """
     where = where or (lambda key: f"{label}.{key}")
 
     def text(key: str, default: str | None = None) -> str:
@@ -234,7 +246,7 @@ def _build_job(label: str, section, where: Callable[[str], str] | None = None) -
         raise CliInputError(
             f"job '{label}' has unknown kind {kind!r}; expected one of {_JOB_KINDS}"
         )
-    unknown = sorted(set(section) - _COMMON_KEYS - _KIND_KEYS[kind])
+    unknown = sorted(set(section) - inherited - _COMMON_KEYS - _KIND_KEYS[kind])
     if unknown:
         raise CliInputError(
             f"job '{label}' has keys that kind {kind!r} does not read: "
@@ -346,15 +358,30 @@ def _run_command(args: argparse.Namespace) -> int:
 def load_jobs(path: str) -> list[_Job]:
     """Parse and validate a job config; raises CliInputError before any job runs."""
     cp = configparser.RawConfigParser()
+    # the same file with [DEFAULT] read as a plain section: each job's own
+    # keys.  cp rejects what a strict parser must; a repeated [DEFAULT] is
+    # merged there, and so it is here.
+    own = configparser.RawConfigParser(default_section="\n", strict=False)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh)
+            text = fh.read()
+        cp.read_string(text, path)
+        own.read_string(text, path)
     except OSError as exc:
         raise CliInputError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise CliInputError(f"malformed config {path!r}: {exc}") from exc
+    defaults = frozenset(cp.defaults())
+    unknown = sorted(defaults - _ANY_KIND_KEYS)
+    if unknown:
+        raise CliInputError(
+            "[DEFAULT] has keys that no job kind reads: " + ", ".join(map(repr, unknown))
+        )
     try:
-        return [_build_job(name, cp[name]) for name in cp.sections()]
+        return [
+            _build_job(name, cp[name], inherited=defaults.difference(own[name]))
+            for name in cp.sections()
+        ]
     except (GeometryError, QuadratureError, ExpressionError) as exc:
         raise CliInputError(str(exc)) from exc
 

@@ -113,15 +113,16 @@ def domain_by_name(name: str) -> Domain:
 
 @dataclass(frozen=True)
 class Density:
-    """A density expression together with its (optionally cached) mass.
+    """A normalized density expression, as :func:`normalize` returns it.
 
     ``scale`` is the mass of the input density that :func:`normalize`
-    divided by to get ``expr``.
+    divided by to get ``expr``; ``mass`` is the mass of ``expr`` itself,
+    integrated again after the division.
     """
 
     expr: Expr
-    mass: QuadResult | None = None
-    scale: QuadResult | None = None
+    mass: QuadResult
+    scale: QuadResult
 
 
 def require_domain_vars(domain: Domain, expr: Expr, what: str) -> None:

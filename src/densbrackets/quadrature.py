@@ -3,11 +3,12 @@
 The only rule is the embedded G7/K15 pair.  One axis is integrated by
 globally adaptive bisection: the interval with the largest local error
 estimate ``|G - K|`` is split first, ties broken by the leftmost interval,
-until the sums over the current partition meet the tolerance.  The final
-value is a compensated (Kahan) sum of the same panels in left-to-right
-order.  The result is therefore a pure function of the inputs:
-repeat runs are bit-identical, and batched evaluation cannot change the
-reduction order.
+until the sums over the current partition meet the tolerance.  Those sums,
+the ones the last convergence test read, are the value and error returned.
+Each is a plain sum of the partition's panels in slot order, which is the
+order the interval's own bisections created them in, so the result is a
+pure function of the inputs: repeat runs are bit-identical, and batched
+evaluation cannot change the reduction order.
 
 Every integral runs through one adaptive core, which advances a block of
 independent integrations ("rows") in lockstep.  Each row keeps its own
@@ -312,8 +313,9 @@ def _adaptive(
     done; no running total is kept, so that one huge panel cannot absorb
     the others.  ``outer(row, k)`` gives the outer coordinates of a
     component, for error reports.  Returns per-component (value,
-    error_estimate), each [rows, k]; the error includes the |G - K| sums
-    and the aux error.
+    error_estimate), each [rows, k]: the sums that the row's last
+    convergence test read, so ``converged`` speaks of the numbers returned.
+    The error includes the |G - K| sums and the aux error.
     """
     every = slice(None)
     edges = np.array([[a, b]] * rows)
@@ -341,7 +343,9 @@ def _adaptive(
     priority = ea.max(1)
     if converged:
         priority[done] = -np.inf
-    panels[0] = np.concatenate([value, ea, edges[:, ::-1], priority[:, None]], 1)
+    # each row's [value | error] sums from the last test of its partition
+    total = np.concatenate([value, ea], 1)
+    panels[0] = np.concatenate([total, edges[:, ::-1], priority[:, None]], 1)
     index = np.arange(rows)
     # Bisection keeps every panel of depth d at least (b - a) / 2**d - eps M
     # wide, M = max(|a|, |b|), and a panel wider than 2 eps M is splittable:
@@ -390,7 +394,7 @@ def _adaptive(
         records[flat] = halves[:, 0]
         panels[r, live] = halves[:, 1]
         # a live row holds r + 1 panels: test the sums of its partition
-        sums = panels[: r + 1, live, : 2 * k].sum(0)
+        sums = total[live] = panels[: r + 1, live, : 2 * k].sum(0)
         finished = _met(sums[:, :k], sums[:, k:], spec)
         m = int(np.count_nonzero(finished))
         if m:
@@ -400,27 +404,6 @@ def _adaptive(
             panels[:, i[finished], -1] = -np.inf
 
     run.converged = run.converged and converged == rows
-    # Deterministic final reduction: each row's panels in left-to-right
-    # order, compensated (Kahan) sums.  The first step of the sum from zero
-    # is exact, and the rows with fewer panels keep their sums once done.
-    lefts = panels[..., -2]
-    order = lefts.argsort(0)[: r + 1]
-    if rows > 1:
-        order = order * rows + index
-    parts = panels.reshape(-1, width).take(order, 0)[..., : 2 * k]
-    total = parts[0] + 0.0
-    comp = np.zeros(total.shape)
-    count = (lefts < np.inf).sum(0) if rows > 1 else r + 1
-    least = count.min() if rows > 1 else count
-    for n in range(1, r + 1):
-        y = parts[n] - comp
-        t = total + y
-        c = (t - total) - y
-        if n < least:
-            total, comp = t, c
-        else:
-            keep = (count > n)[:, None]
-            total, comp = np.where(keep, t, total), np.where(keep, c, comp)
     if not math.isfinite(total.sum()):
         _check_records(panels, total, k, outer)
     return total[:, :k], total[:, k:]

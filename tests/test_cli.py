@@ -62,13 +62,17 @@ def test_bracket_torus_squares(capsys):
 
 
 def test_bracket_syntax_error_exits_1(capsys):
-    code, out, err = run_cli(
-        capsys,
-        "bracket", "--domain", "square", "--rho", "1", "--f", "x+", "--h", "y",
-    )
-    assert code == 1
-    assert out == ""
-    assert "position" in err
+    for f, message in [
+        ("x+", "position"),
+        ("sin(x", "invalid expression for --f: expected ')' (at position 5)"),
+    ]:
+        code, out, err = run_cli(
+            capsys,
+            "bracket", "--domain", "square", "--rho", "1", "--f", f, "--h", "y",
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err
 
 
 def test_bracket_nonconverged_exits_2(capsys):
@@ -496,6 +500,73 @@ def test_table_key_that_the_kind_does_not_read_is_rejected(tmp_path, capsys, key
     code, out, err = run_cli(capsys, "table", str(cfg))
     assert code == 1 and out == ""  # nothing ran
     assert "'typo'" in err and repr(key.split()[0]) in err
+
+
+_MIXED_ROWS = """
+[row1]
+kind = bracket
+domain = square
+rho = 1
+f = x
+h = y
+expected = 1
+
+[area1]
+kind = area
+rho = 1
+theta_map = theta
+phi_map = phi + t
+s_lo = pi/4
+s_hi = 3*pi/4
+t_lo = pi/4
+t_hi = 3*pi/4
+expected = (pi/2)^2
+"""
+
+
+def test_default_keys_need_only_be_read_by_some_kind(tmp_path, capsys):
+    # tau is read by the bracket row only, tol_abs by both
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("[DEFAULT]\ntau = 1\ntol_abs = 1e-8\n" + _MIXED_ROWS)
+    code, out, err = run_cli(capsys, "table", str(cfg))
+    assert code == 0 and err == ""
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["label"], r["pass"]) for r in rows] == [("row1", True), ("area1", True)]
+
+
+def test_default_key_that_no_kind_reads_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("[DEFAULT]\ntua = 1\n" + _MIXED_ROWS)
+    code, out, err = run_cli(capsys, "table", str(cfg))
+    assert code == 1 and out == ""
+    assert "[DEFAULT]" in err and "'tua'" in err
+
+
+def test_own_key_that_overrides_a_default_is_checked_against_the_kind(tmp_path, capsys):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("[DEFAULT]\ntau = 1\n" + _MIXED_ROWS + "tau = 2\n")
+    code, out, err = run_cli(capsys, "table", str(cfg))
+    assert code == 1 and out == ""
+    assert "job 'area1' has keys that kind 'area' does not read: 'tau'" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "[r]\nkind = bracket\ndomain = square\nf = x\nh = y\n",
+            "job 'r' is missing required key 'rho'",
+        ),
+        ("tau = 1\n[r]\nkind = mass\n", "File contains no section headers"),
+        ("[r]\nkind = mass\ndomain = cube\nrho = 1\n", "unknown domain 'cube'"),
+    ],
+)
+def test_malformed_table_exits_1(tmp_path, capsys, text, message):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "table", str(cfg))
+    assert code == 1 and out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize(

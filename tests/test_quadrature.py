@@ -318,6 +318,16 @@ def test_convergence_is_tested_on_the_partition_itself():
     )
 
 
+def test_converged_result_is_the_one_its_tolerance_test_read():
+    # The relative tolerance is met by a hair.  A second sum of the same
+    # panels in another order (left to right, compensated) reported
+    # 9.01269074173666, one ulp less, which missed it with converged=True.
+    spec = QuadSpec(abs_tol=5e-324, rel_tol=5.045077262778121e-09)
+    r = integrate_1d(lambda x: np.cos(11 * x) * np.exp(-x) + x * x, 0.0, 3.0, spec)
+    assert r.converged
+    assert r.error_estimate <= spec.rel_tol * abs(r.value)
+
+
 def test_panels_too_narrow_to_bisect_stop_the_row():
     # Every panel is bisected down to one ulp; then no panel is splittable
     # and the loop ends long before max_subdivisions.
