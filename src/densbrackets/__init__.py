@@ -8,90 +8,27 @@ layers: a small real-valued expression language (``expressions``),
 deterministic adaptive Gauss-Kronrod quadrature (``quadrature``), domain
 descriptors and density normalization (``geometry``), and the bracket/area
 front ends (``brackets``, ``areas``) with a JSON-emitting CLI (``cli``).
+
+Each module's ``__all__`` is its public surface.  The package re-exports
+those of the five library modules, so ``densbrackets.__all__`` is
+``__version__`` followed by their lists, in layer order; ``cli`` is not
+re-exported.
 """
 
-from .expressions import (
-    DomainError,
-    Expr,
-    ExpressionError,
-    ParseError,
-    UnboundVariableError,
-    compile_expr,
-    diff,
-    evaluate,
-    free_vars,
-    parse,
-    simplify,
-    substitute,
-    to_text,
-)
-from .quadrature import (
-    QuadResult,
-    QuadSpec,
-    QuadratureError,
-    integrate_2d,
-    integrate_4d,
-)
-from .geometry import (
-    DOMAINS,
-    Density,
-    Domain,
-    GeometryError,
-    NormalizationError,
-    SPHERE,
-    SQUARE,
-    TORUS,
-    density_mass,
-    domain_by_name,
-    normalize,
-)
-from .brackets import BracketProblem, BracketResult, bracket, build_integrand
-from .areas import AreaProblem, FlowMap, area, inner_bracket, pullback_density
+from . import areas, brackets, expressions, geometry, quadrature
+from .expressions import *  # noqa: F403
+from .quadrature import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .brackets import *  # noqa: F403
+from .areas import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # expressions
-    "Expr",
-    "ExpressionError",
-    "ParseError",
-    "UnboundVariableError",
-    "DomainError",
-    "parse",
-    "evaluate",
-    "diff",
-    "substitute",
-    "simplify",
-    "free_vars",
-    "to_text",
-    "compile_expr",
-    # quadrature
-    "QuadSpec",
-    "QuadResult",
-    "QuadratureError",
-    "integrate_2d",
-    "integrate_4d",
-    # geometry
-    "Domain",
-    "Density",
-    "GeometryError",
-    "NormalizationError",
-    "SQUARE",
-    "TORUS",
-    "SPHERE",
-    "DOMAINS",
-    "domain_by_name",
-    "density_mass",
-    "normalize",
-    # brackets / areas
-    "BracketProblem",
-    "BracketResult",
-    "bracket",
-    "build_integrand",
-    "FlowMap",
-    "AreaProblem",
-    "pullback_density",
-    "area",
-    "inner_bracket",
+    *expressions.__all__,
+    *quadrature.__all__,
+    *geometry.__all__,
+    *brackets.__all__,
+    *areas.__all__,
 ]

@@ -61,7 +61,7 @@ from .expressions import (
     substitute,
     to_text,
 )
-from .geometry import SPHERE, GeometryError, compiled_kernel
+from .geometry import SPHERE, GeometryError, compiled_kernel, require_domain_vars
 from .quadrature import QuadResult, QuadSpec, integrate_2d, integrate_4d
 
 __all__ = [
@@ -114,12 +114,7 @@ class AreaProblem:
     weight_mode: str = "measure"
 
     def validate(self) -> None:
-        extra = free_vars(self.rho) - {"theta", "phi"}
-        if extra:
-            raise GeometryError(
-                f"density '{to_text(self.rho)}' uses variables {sorted(extra)}; "
-                "expected sphere coordinates (theta, phi)"
-            )
+        require_domain_vars(SPHERE, self.rho, "density")
         self.flow.validate()
         if self.weight_mode not in WEIGHT_MODES:
             raise GeometryError(

@@ -28,8 +28,12 @@ Batch configs are INI-style files, one section per job, e.g.::
 Area jobs take ``rho``, ``theta_map``, ``phi_map``, ``s_lo``, ``s_hi``,
 ``t_lo``, ``t_hi`` and optional ``weight_mode`` (measure | literal).  A job
 passes when it converged and, if ``expected`` is given,
-``|value - expected| <= tol_abs + tol_rel * |expected|``.  All jobs are
-validated before any of them runs.
+``|value - expected| <= tol_abs + tol_rel * |expected|``, and neither
+tolerance may be negative.  All jobs are validated before any of them
+runs.  An expression nested deeper than the interpreter's recursion limit
+lets the program walk it is an input error: at parse time, or (for a long
+chain of sums or products that parses) when its job runs, which ends a
+table there.
 
 The ``bracket`` and ``area`` commands are built as one-row jobs by the same
 builder, which reads these keys (default in parentheses):
@@ -67,15 +71,20 @@ from .areas import DEFAULT_TOL, AreaProblem, FlowMap, WEIGHT_MODES, area
 from .brackets import BracketProblem, bracket
 from .expressions import Expr, ExpressionError, evaluate, parse
 from .geometry import (
+    DOMAINS,
     GeometryError,
     NormalizationError,
     density_mass,
     domain_by_name,
     normalize,
+    require_domain_vars,
 )
 from .quadrature import DivergentIntegralError, QuadSpec, QuadratureError
 
 __all__ = ["main", "run_table"]
+
+# What the library raises for input it cannot compute with.
+_LIBRARY_ERRORS = (ExpressionError, GeometryError, QuadratureError)
 
 
 class CliInputError(Exception):
@@ -123,7 +132,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bracket", help="Poisson bracket of two functionals")
-    b.add_argument("--domain", required=True, choices=["square", "torus", "sphere"])
+    b.add_argument("--domain", required=True, choices=list(DOMAINS))
     b.add_argument("--tau", help="conformal factor expression")
     b.add_argument("--rho", required=True, help="density expression")
     b.add_argument("--f", required=True, help="first function expression")
@@ -255,6 +264,9 @@ def _build_job(
     expected = None if section.get("expected") is None else number("expected")
     tol_abs = number("tol_abs", 0.0)
     tol_rel = number("tol_rel", 0.0)
+    for key, tol in (("tol_abs", tol_abs), ("tol_rel", tol_rel)):
+        if not tol >= 0.0:
+            raise CliInputError(f"{where(key)} must not be negative, got {tol!r}")
     if kind == "area":
         default = QuadSpec(abs_tol=DEFAULT_TOL, rel_tol=DEFAULT_TOL)
     else:
@@ -288,18 +300,14 @@ def _build_job(
             r = bracket(problem, spec)
             return {**_result_fields(r), "normalization_constant": r.normalization_constant}
 
-    elif kind == "mass":
+    elif kind in ("mass", "normalize"):
         domain = domain_by_name(text("domain"))
         rho = expr("rho")
+        require_domain_vars(domain, rho, "density")
 
         def run() -> dict[str, Any]:
-            return _result_fields(density_mass(domain, rho, spec))
-
-    elif kind == "normalize":
-        domain = domain_by_name(text("domain"))
-        rho = expr("rho")
-
-        def run() -> dict[str, Any]:
+            if kind == "mass":
+                return _result_fields(density_mass(domain, rho, spec))
             density = normalize(domain, rho, spec)
             return {
                 **_result_fields(density.mass),
@@ -367,7 +375,7 @@ def load_jobs(path: str) -> list[_Job]:
             text = fh.read()
         cp.read_string(text, path)
         own.read_string(text, path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise CliInputError(f"malformed config {path!r}: {exc}") from exc
@@ -382,7 +390,7 @@ def load_jobs(path: str) -> list[_Job]:
             _build_job(name, cp[name], inherited=defaults.difference(own[name]))
             for name in cp.sections()
         ]
-    except (GeometryError, QuadratureError, ExpressionError) as exc:
+    except _LIBRARY_ERRORS as exc:
         raise CliInputError(str(exc)) from exc
 
 
@@ -393,7 +401,7 @@ def run_table(args: argparse.Namespace) -> int:
         line: dict[str, Any] = {"label": job.label, "kind": job.kind}
         try:
             line.update(job.run())
-        except (GeometryError, ExpressionError, QuadratureError) as exc:
+        except _LIBRARY_ERRORS as exc:
             print(f"job '{job.label}' failed: {exc}", file=sys.stderr)
             line.update({"error": str(exc), "converged": False})
         passed = bool(line.get("converged"))
@@ -421,8 +429,11 @@ def main(argv: list[str] | None = None) -> int:
     except (NormalizationError, DivergentIntegralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExpressionError, GeometryError, QuadratureError) as exc:
+    except _LIBRARY_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:  # a tree walk on an expression nested too deeply
+        print("error: an expression nests too deeply to process", file=sys.stderr)
         return 1
 
 

@@ -253,12 +253,17 @@ def parse(text: str) -> Expr:
     """Parse an expression string into a tree.
 
     Raises :class:`ParseError` with the offending position on syntax errors,
-    unknown function names and literals too large for a double.
+    unknown function names, literals too large for a double and nesting
+    deeper than the interpreter's recursion limit lets the parser descend
+    (each level of calls or parentheses takes five frames).
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     toks = _Tokenizer(text)
-    expr = _parse_expr(toks)
+    try:
+        expr = _parse_expr(toks)
+    except RecursionError:
+        raise ParseError("expression nests too deeply", toks.peek()[2]) from None
     kind, value, pos = toks.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {value!r}", pos)

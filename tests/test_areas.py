@@ -533,7 +533,11 @@ def test_problem_validation():
             t_interval=QUARTER,
             weight_mode="both",
         ).validate()
-    with pytest.raises(GeometryError):
+    with pytest.raises(
+        GeometryError,
+        match=r"^density 'x' uses variables \['x'\] outside the sphere "
+        r"coordinates \('theta', 'phi'\)$",
+    ):
         AreaProblem(
             rho=parse("x"),
             flow=ROTATION,

@@ -559,6 +559,23 @@ def test_own_key_that_overrides_a_default_is_checked_against_the_kind(tmp_path, 
         ),
         ("tau = 1\n[r]\nkind = mass\n", "File contains no section headers"),
         ("[r]\nkind = mass\ndomain = cube\nrho = 1\n", "unknown domain 'cube'"),
+        # a row's density is checked before the row above it runs
+        *(
+            (
+                "[a]\nkind = mass\ndomain = square\nrho = 1\n"
+                f"[r]\nkind = {kind}\ndomain = square\nrho = z\n",
+                "density 'z' uses variables ['z'] outside the square coordinates",
+            )
+            for kind in ("mass", "normalize")
+        ),
+        *(
+            (
+                "[r]\nkind = bracket\ndomain = square\nrho = 1\nf = x\nh = y\n"
+                f"expected = 1\n{key} = -1\n",
+                f"r.{key} must not be negative, got -1.0",
+            )
+            for key in ("tol_abs", "tol_rel")
+        ),
     ],
 )
 def test_malformed_table_exits_1(tmp_path, capsys, text, message):
@@ -663,3 +680,45 @@ def test_random_commands_end_in_a_result_or_a_typed_error(argv):
     else:
         assert code != 0 and err.getvalue().startswith("error: ")
         assert len(err.getvalue().splitlines()) == 1
+
+
+# -- inputs that must not end in a traceback ---------------------------------------
+
+
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_bytes(b"[row]\nkind = mass\ndomain = square\nrho = 1 \xff\n")
+    code, out, err = run_cli(capsys, "table", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read config {str(cfg)!r}")
+
+
+def _bracket_of(f):
+    return ("bracket", "--domain", "square", "--rho", "1", "--f", f, "--h", "y")
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        "sin(" * 400 + "x" + ")" * 400,  # the parser descends too deep
+        "(" * 400 + "x" + ")" * 400,
+        " + ".join(["x"] * 2000),  # parses, but a later tree walk is too deep
+    ],
+    ids=["calls", "parentheses", "sum"],
+)
+def test_too_deeply_nested_expression_is_a_typed_error(capsys, f):
+    code, out, err = run_cli(capsys, *_bracket_of(f))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "nests too deeply" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "f", ["sin(" * 160 + "x" + ")" * 160, " + ".join(["x"] * 900)], ids=["calls", "sum"]
+)
+def test_deep_expressions_within_the_limit_still_run(capsys, f):
+    # pytest's own frames lower the limits: from the console script, 190
+    # nested calls and a 980-term sum also run
+    code, out, err = run_cli(capsys, *_bracket_of(f))
+    assert code == 0 and err == ""
+    assert json.loads(out)["converged"] is True
