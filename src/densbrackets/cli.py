@@ -32,8 +32,8 @@ passes when it converged and, if ``expected`` is given,
 tolerance may be negative.  All jobs are validated before any of them
 runs.  An expression nested deeper than the interpreter's recursion limit
 lets the program walk it is an input error: at parse time, or (for a long
-chain of sums or products that parses) when its job runs, which ends a
-table there.
+chain of sums, products or powers that parses) when its job runs, which
+ends a table there.
 
 The ``bracket`` and ``area`` commands are built as one-row jobs by the same
 builder, which reads these keys (default in parentheses):

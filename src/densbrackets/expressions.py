@@ -208,45 +208,23 @@ _ALL_FUNCTIONS = frozenset(FUNCTIONS) | frozenset(_INTERNAL_FUNCTIONS)
 
 # -- parser -----------------------------------------------------------------
 
+# One group per token kind.  Every character that starts no token is caught
+# by the last group, so findall skips only whitespace.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<number>(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)
-  | (?P<name>[a-zA-Z][a-zA-Z0-9_]*)
-  | (?P<op>[-+*/^()])
+    ([-+*/^()])                             # operator or parenthesis
+  | ((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)  # number
+  | ([a-zA-Z][a-zA-Z0-9_]*)                 # name
+  | (\S)                                    # a character no token starts with
     """,
     re.VERBOSE,
 )
+_END = ("", "", "", "")
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        self._lex()
-        self.index = 0
-
-    def _lex(self):
-        pos = 0
-        text = self.text
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            if m.lastgroup != "ws":
-                self.tokens.append((m.lastgroup, m.group(), pos))
-            pos = m.end()
-        self.tokens.append(("end", "", len(text)))
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        if tok[0] != "end":
-            self.index += 1
-        return tok
+class _Unexpected(Exception):
+    """``(message, left)``: a syntax error at the token that was next when
+    ``left`` tokens were unread."""
 
 
 def parse(text: str) -> Expr:
@@ -255,96 +233,98 @@ def parse(text: str) -> Expr:
     Raises :class:`ParseError` with the offending position on syntax errors,
     unknown function names, literals too large for a double and nesting
     deeper than the interpreter's recursion limit lets the parser descend
-    (each level of calls or parentheses takes five frames).
+    (each level of calls or parentheses takes three frames, each unary
+    minus or ``^`` one).  A character that starts no token is reported
+    first, wherever it is.
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    toks = _Tokenizer(text)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(_END)
+    rest = tokens[::-1]  # the unread tokens, the next one last
     try:
-        expr = _parse_expr(toks)
+        expr = _parse_sum(rest)
+        if len(rest) > 1:
+            value = "".join(rest[-1])  # the one group that matched
+            raise _Unexpected(f"unexpected trailing input {value!r}", len(rest))
+        return expr
     except RecursionError:
-        raise ParseError("expression nests too deeply", toks.peek()[2]) from None
-    kind, value, pos = toks.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing input {value!r}", pos)
-    return expr
+        message, left = "expression nests too deeply", len(rest)
+    except _Unexpected as exc:
+        message, left = exc.args
+    # positions are needed only here, so only here is the text lexed again
+    matches = list(_TOKEN_RE.finditer(text))
+    for m in matches:
+        if m.group(4):
+            raise ParseError(f"unexpected character {m.group(4)!r}", m.start())
+    index = len(tokens) - left  # the end token matches nothing
+    position = matches[index].start() if index < len(matches) else len(text)
+    raise ParseError(message, position)
 
 
-def _parse_expr(toks: _Tokenizer) -> Expr:
-    node = _parse_term(toks)
+def _parse_sum(rest: list) -> Expr:
+    """Operands joined by ``+ - * /``, left associative, ``*`` and ``/``
+    first, up to the first token that continues neither."""
+    total = term = None
+    add = mul = ""
     while True:
-        kind, value, _ = toks.peek()
-        if kind == "op" and value in "+-":
-            toks.next()
-            rhs = _parse_term(toks)
-            node = BinOp(value, node, rhs)
+        operand = _parse_unary(rest)
+        term = BinOp(mul, term, operand) if mul else operand
+        op = rest[-1][0]
+        if op == "*" or op == "/":
+            mul = rest.pop()[0]
+            continue
+        total = BinOp(add, total, term) if add else term
+        if op == "+" or op == "-":
+            add, mul = rest.pop()[0], ""
+            continue
+        return total
+
+
+def _parse_unary(rest: list) -> Expr:
+    """A unary minus and its operand, or an atom with an optional ``^``."""
+    op, number, name, _ = token = rest.pop()
+    if op == "-":
+        return BinOp("-", Const(0.0), _parse_unary(rest))
+    if number:
+        value = float(number)
+        if value > sys.float_info.max:
+            message = f"number {number!r} is too large for a double"
+            raise _Unexpected(message, len(rest) + 1)
+        node = Const(value)
+    elif name:
+        if rest[-1][0] == "(":
+            if name not in _ALL_FUNCTIONS:
+                raise _Unexpected(f"unknown function '{name}'", len(rest) + 1)
+            rest.pop()
+            node = Call(name, _parse_group(rest))
+        elif name in _NAMED_VALUES:
+            node = NamedConst(name)
+        elif name in _ALL_FUNCTIONS:
+            message = f"function '{name}' used without arguments"
+            raise _Unexpected(message, len(rest) + 1)
         else:
-            return node
+            node = Var(name)
+    elif op == "(":
+        node = _parse_group(rest)
+    elif token is _END:
+        raise _Unexpected("unexpected end of input", len(rest) + 1)
+    else:
+        raise _Unexpected("expected a number, name or '('", len(rest) + 1)
+    if rest[-1][0] == "^":
+        rest.pop()
+        # right associative, and the exponent may carry a sign
+        return BinOp("^", node, _parse_unary(rest))
+    return node
 
 
-def _parse_term(toks: _Tokenizer) -> Expr:
-    node = _parse_unary(toks)
-    while True:
-        kind, value, _ = toks.peek()
-        if kind == "op" and value in "*/":
-            toks.next()
-            rhs = _parse_unary(toks)
-            node = BinOp(value, node, rhs)
-        else:
-            return node
-
-
-def _parse_unary(toks: _Tokenizer) -> Expr:
-    kind, value, _ = toks.peek()
-    if kind == "op" and value == "-":
-        toks.next()
-        return BinOp("-", Const(0.0), _parse_unary(toks))
-    return _parse_power(toks)
-
-
-def _parse_power(toks: _Tokenizer) -> Expr:
-    base = _parse_atom(toks)
-    kind, value, _ = toks.peek()
-    if kind == "op" and value == "^":
-        toks.next()
-        exponent = _parse_unary(toks)  # right associative, may carry a sign
-        return BinOp("^", base, exponent)
-    return base
-
-
-def _parse_atom(toks: _Tokenizer) -> Expr:
-    kind, value, pos = toks.next()
-    if kind == "number":
-        number = float(value)
-        if number > sys.float_info.max:
-            raise ParseError(f"number {value!r} is too large for a double", pos)
-        return Const(number)
-    if kind == "name":
-        nk, nv, _ = toks.peek()
-        if nk == "op" and nv == "(":
-            if value not in _ALL_FUNCTIONS:
-                raise ParseError(f"unknown function '{value}'", pos)
-            toks.next()
-            arg = _parse_expr(toks)
-            ck, cv, cpos = toks.next()
-            if not (ck == "op" and cv == ")"):
-                raise ParseError("expected ')'", cpos)
-            return Call(value, arg)
-        if value in _NAMED_VALUES:
-            return NamedConst(value)
-        if value in _ALL_FUNCTIONS:
-            raise ParseError(f"function '{value}' used without arguments", pos)
-        return Var(value)
-    if kind == "op" and value == "(":
-        inner = _parse_expr(toks)
-        ck, cv, cpos = toks.next()
-        if not (ck == "op" and cv == ")"):
-            raise ParseError("expected ')'", cpos)
-        return inner
-    raise ParseError(
-        "expected a number, name or '('" if kind != "end" else "unexpected end of input",
-        pos,
-    )
+def _parse_group(rest: list) -> Expr:
+    """The inside of a call or parentheses, and the closing ``)``."""
+    inner = _parse_sum(rest)
+    if rest[-1][0] != ")":
+        raise _Unexpected("expected ')'", len(rest))
+    rest.pop()
+    return inner
 
 
 # -- evaluation: one lowered program ---------------------------------------------

@@ -717,7 +717,7 @@ def test_too_deeply_nested_expression_is_a_typed_error(capsys, f):
     "f", ["sin(" * 160 + "x" + ")" * 160, " + ".join(["x"] * 900)], ids=["calls", "sum"]
 )
 def test_deep_expressions_within_the_limit_still_run(capsys, f):
-    # pytest's own frames lower the limits: from the console script, 190
+    # pytest's own frames lower the limits: from the console script, 320
     # nested calls and a 980-term sum also run
     code, out, err = run_cli(capsys, *_bracket_of(f))
     assert code == 0 and err == ""
