@@ -256,7 +256,6 @@ def inner_bracket(
             f"(s, t) = ({s!r}, {t!r}) is outside I1 x I2 = "
             f"{problem.s_interval!r} x {problem.t_interval!r}"
         )
-    spec = spec or QuadSpec()
     fixed = (float(s), float(t))
     with compiled_kernel(_integrand_expr(problem), _VARS, fixed) as kernel:
         result = integrate_2d(kernel, (_PHI_BOX, _THETA_BOX), spec)

@@ -90,15 +90,8 @@ def _integrand(problem: BracketProblem) -> Expr:
 def bracket(problem: BracketProblem, spec: QuadSpec | None = None) -> BracketResult:
     """Evaluate the bracket; raises :class:`NormalizationError` for densities
     whose mass :func:`densbrackets.geometry.check_mass` rejects."""
-    # each expression's variables are checked once; with auto-normalization
-    # density_mass checks rho's
+    problem.validate()
     domain = problem.domain
-    require_domain_vars(domain, problem.tau, "conformal factor")
-    if not problem.auto_normalize:
-        require_domain_vars(domain, problem.rho, "density")
-    require_domain_vars(domain, problem.f, "function f")
-    require_domain_vars(domain, problem.h, "function h")
-    spec = spec or QuadSpec()
 
     norm_const = None
     mass_evals = 0

@@ -30,13 +30,18 @@ Area jobs take ``rho``, ``theta_map``, ``phi_map``, ``s_lo``, ``s_hi``,
 passes when it converged and, if ``expected`` is given,
 ``|value - expected| <= tol_abs + tol_rel * |expected|``, and neither
 tolerance may be negative.  All jobs are validated before any of them
-runs.  An expression nested deeper than the interpreter's recursion limit
-lets the program walk it is an input error: at parse time, or (for a long
-chain of sums, products or powers that parses) when its job runs, which
-ends a table there.
+runs, and a load error names its job: by the key for a value that does not
+parse (``row1.rho``), by the section otherwise (``job 'row1': unknown
+domain 'cube'``).  An expression nested deeper than the interpreter's
+recursion limit lets the program walk it is an input error: at parse time,
+or (for a long chain of sums, products or powers that parses) when its job
+runs, which ends a table there.
 
 The ``bracket`` and ``area`` commands are built as one-row jobs by the same
-builder, which reads these keys (default in parentheses):
+builder, which reads these keys (default in parentheses).  A key without a
+default is required, except ``expected`` and ``quad_max_evals``; a default
+takes effect only when the key is absent, so a key that is set is always
+parsed and checked:
 
 * every kind: ``kind``, ``expected``, ``tol_abs`` (0), ``tol_rel`` (0),
   ``quad_abs_tol`` and ``quad_rel_tol`` (1e-10; 1e-7 for areas) and
@@ -63,13 +68,13 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from . import __version__
 from .areas import DEFAULT_TOL, AreaProblem, FlowMap, WEIGHT_MODES, area
 from .brackets import BracketProblem, bracket
-from .expressions import Expr, ExpressionError, evaluate, parse
+from .expressions import Const, Expr, ExpressionError, evaluate, parse
 from .geometry import (
     DOMAINS,
     GeometryError,
@@ -208,13 +213,7 @@ class _Job:
     tol_rel: float
 
 
-def _result_fields(r) -> dict[str, Any]:
-    return {
-        "value": r.value,
-        "error_estimate": r.error_estimate,
-        "n_evals": r.n_evals,
-        "converged": r.converged,
-    }
+_REQUIRED = object()  # the default of a key that must be set
 
 
 def _build_job(
@@ -230,27 +229,17 @@ def _build_job(
     """
     where = where or (lambda key: f"{label}.{key}")
 
-    def text(key: str, default: str | None = None) -> str:
-        value = section.get(key, default)
-        if value is None:
+    # convert(text, where(key)) of the key's text; the default as it is when
+    # the key is absent
+    def read(key: str, convert=lambda text, what: text, default: Any = _REQUIRED):
+        text = section.get(key)
+        if text is not None:
+            return convert(text, where(key))
+        if default is _REQUIRED:
             raise CliInputError(f"job '{label}' is missing required key '{key}'")
-        return value
+        return default
 
-    def expr(key: str, default: str | None = None) -> Expr:
-        return _parse_expr(text(key, default), where(key))
-
-    # number and integer keys return a default as it is when absent
-    def number(key: str, default: float | None = None) -> float:
-        if default is not None and section.get(key) is None:
-            return default
-        return _parse_number(text(key), where(key))
-
-    def integer(key: str, default: int | None = None) -> int:
-        if default is not None and section.get(key) is None:
-            return default
-        return _parse_int(text(key), where(key))
-
-    kind = text("kind")
+    kind = read("kind")
     if kind not in _JOB_KINDS:
         raise CliInputError(
             f"job '{label}' has unknown kind {kind!r}; expected one of {_JOB_KINDS}"
@@ -261,24 +250,20 @@ def _build_job(
             f"job '{label}' has keys that kind {kind!r} does not read: "
             + ", ".join(map(repr, unknown))
         )
-    expected = None if section.get("expected") is None else number("expected")
-    tol_abs = number("tol_abs", 0.0)
-    tol_rel = number("tol_rel", 0.0)
+    expected = read("expected", _parse_number, None)
+    tol_abs = read("tol_abs", _parse_number, 0.0)
+    tol_rel = read("tol_rel", _parse_number, 0.0)
     for key, tol in (("tol_abs", tol_abs), ("tol_rel", tol_rel)):
         if not tol >= 0.0:
             raise CliInputError(f"{where(key)} must not be negative, got {tol!r}")
+    default = QuadSpec()
     if kind == "area":
         default = QuadSpec(abs_tol=DEFAULT_TOL, rel_tol=DEFAULT_TOL)
-    else:
-        default = QuadSpec()
-    max_evals = None
-    if section.get("quad_max_evals") is not None:
-        max_evals = integer("quad_max_evals")
     spec = QuadSpec(
-        abs_tol=number("quad_abs_tol", default.abs_tol),
-        rel_tol=number("quad_rel_tol", default.rel_tol),
-        max_subdivisions=integer("quad_max_subdivisions", default.max_subdivisions),
-        max_evals=max_evals,
+        max_evals=read("quad_max_evals", _parse_int, None),
+        abs_tol=read("quad_abs_tol", _parse_number, default.abs_tol),
+        rel_tol=read("quad_rel_tol", _parse_number, default.rel_tol),
+        max_subdivisions=read("quad_max_subdivisions", _parse_int, default.max_subdivisions),
     )
 
     if kind == "bracket":
@@ -287,47 +272,48 @@ def _build_job(
         except ValueError as exc:
             raise CliInputError(f"invalid boolean for {where('normalize')}: {exc}") from exc
         problem = BracketProblem(
-            domain=domain_by_name(text("domain")),
-            tau=expr("tau", "1"),
-            rho=expr("rho"),
-            f=expr("f"),
-            h=expr("h"),
+            domain=domain_by_name(read("domain")),
+            tau=read("tau", _parse_expr, Const(1.0)),
+            rho=read("rho", _parse_expr),
+            f=read("f", _parse_expr),
+            h=read("h", _parse_expr),
             auto_normalize=auto_normalize,
         )
         problem.validate()
 
         def run() -> dict[str, Any]:
-            r = bracket(problem, spec)
-            return {**_result_fields(r), "normalization_constant": r.normalization_constant}
+            return asdict(bracket(problem, spec))
 
     elif kind in ("mass", "normalize"):
-        domain = domain_by_name(text("domain"))
-        rho = expr("rho")
+        domain = domain_by_name(read("domain"))
+        rho = read("rho", _parse_expr)
         require_domain_vars(domain, rho, "density")
 
         def run() -> dict[str, Any]:
             if kind == "mass":
-                return _result_fields(density_mass(domain, rho, spec))
+                return asdict(density_mass(domain, rho, spec))
             density = normalize(domain, rho, spec)
             return {
-                **_result_fields(density.mass),
+                **asdict(density.mass),
                 "n_evals": density.scale.n_evals + density.mass.n_evals,
                 "scale": density.scale.value,
             }
 
     else:  # area
         problem = AreaProblem(
-            rho=expr("rho"),
-            flow=FlowMap(theta_map=expr("theta_map"), phi_map=expr("phi_map")),
-            s_interval=(number("s_lo"), number("s_hi")),
-            t_interval=(number("t_lo"), number("t_hi")),
-            weight_mode=text("weight_mode", "measure"),
+            rho=read("rho", _parse_expr),
+            flow=FlowMap(
+                theta_map=read("theta_map", _parse_expr),
+                phi_map=read("phi_map", _parse_expr),
+            ),
+            s_interval=(read("s_lo", _parse_number), read("s_hi", _parse_number)),
+            t_interval=(read("t_lo", _parse_number), read("t_hi", _parse_number)),
+            weight_mode=read("weight_mode", default="measure"),
         )
         problem.validate()
 
         def run() -> dict[str, Any]:
-            r = area(problem, spec)
-            return {**_result_fields(r), "weight_mode": problem.weight_mode}
+            return {**asdict(area(problem, spec)), "weight_mode": problem.weight_mode}
 
     return _Job(
         label=label,
@@ -385,13 +371,14 @@ def load_jobs(path: str) -> list[_Job]:
         raise CliInputError(
             "[DEFAULT] has keys that no job kind reads: " + ", ".join(map(repr, unknown))
         )
-    try:
-        return [
-            _build_job(name, cp[name], inherited=defaults.difference(own[name]))
-            for name in cp.sections()
-        ]
-    except _LIBRARY_ERRORS as exc:
-        raise CliInputError(str(exc)) from exc
+    jobs = []
+    for name in cp.sections():
+        inherited = defaults.difference(own[name])
+        try:
+            jobs.append(_build_job(name, cp[name], inherited=inherited))
+        except _LIBRARY_ERRORS as exc:
+            raise CliInputError(f"job '{name}': {exc}") from exc
+    return jobs
 
 
 def run_table(args: argparse.Namespace) -> int:

@@ -201,9 +201,6 @@ FUNCTIONS = (
     "erf",
     "besseli0",
 )
-# Names reachable only through differentiation; parsed for round-trips.
-_INTERNAL_FUNCTIONS = ("besseli1", "sign")
-_ALL_FUNCTIONS = frozenset(FUNCTIONS) | frozenset(_INTERNAL_FUNCTIONS)
 
 
 # -- parser -----------------------------------------------------------------
@@ -371,6 +368,9 @@ _OPS: dict[str, tuple[Callable, Callable | None]] = {
     "besseli0": (_specials.besseli0_array, None),
     "besseli1": (_specials.besseli1_array, None),
 }
+# The parser accepts every function here: the grammar's, and those that only
+# differentiation produces (besseli1, sign), so that printed trees parse.
+_ALL_FUNCTIONS = frozenset(name for name in _OPS if name.isalnum())
 
 
 def _checked(node: Call | BinOp, args: tuple) -> float:

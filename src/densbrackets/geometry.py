@@ -158,7 +158,6 @@ def compiled_kernel(
 def density_mass(domain: Domain, rho: Expr, spec: QuadSpec | None = None) -> QuadResult:
     """Total mass ``prefactor * integral(rho * weight)`` over the domain box."""
     require_domain_vars(domain, rho, "density")
-    spec = spec or QuadSpec()
     integrand = simplify(BinOp("*", rho, domain.weight))
     with compiled_kernel(integrand, domain.coords) as kernel:
         result = integrate_2d(kernel, domain.box, spec)
@@ -191,7 +190,6 @@ def check_mass(rho: Expr, mass: QuadResult) -> QuadResult:
 def normalize(domain: Domain, rho: Expr, spec: QuadSpec | None = None) -> Density:
     """Rescale ``rho`` to unit mass; the returned density carries the mass it
     was divided by and its own recomputed mass."""
-    spec = spec or QuadSpec()
     scale = check_mass(rho, density_mass(domain, rho, spec))
     scaled = simplify(BinOp("/", rho, Const(scale.value)))
     check = density_mass(domain, scaled, spec)

@@ -519,10 +519,12 @@ def _integrate(
     """Public entry: check the intervals and run the core on ``f``."""
     checked = []
     for group in groups:
+        group = tuple((float(lo), float(hi)) for lo, hi in group)
         for lo, hi in group:
-            if not lo < hi:
+            # the core bisects at 0.5 * (lo + hi) and scales by 0.5 * (hi - lo)
+            if not (lo < hi and math.isfinite(hi - lo) and math.isfinite(lo + hi)):
                 raise QuadratureError(f"invalid interval ({lo!r}, {hi!r})")
-        checked.append(tuple((float(lo), float(hi)) for lo, hi in group))
+        checked.append(group)
     spec = spec or QuadSpec()
     specs, level = [], spec
     for group in checked:

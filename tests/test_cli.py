@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densbrackets import __version__
-from densbrackets.cli import main
+from densbrackets.cli import _COMMON_KEYS, _KIND_KEYS, main
 from densbrackets.expressions import FUNCTIONS, parse
 from densbrackets.geometry import DOMAINS, SPHERE, normalize
 
@@ -177,6 +177,13 @@ tol_abs = 1e-9
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert [line["label"] for line in lines] == ["first", "second", "third"]
     assert all(line["pass"] for line in lines)
+    mass_keys = {
+        "label", "kind", "value", "error_estimate", "n_evals", "converged",
+        "expected", "pass",
+    }
+    assert [set(line) for line in lines] == [
+        mass_keys | {"normalization_constant"}, mass_keys, mass_keys | {"scale"},
+    ]
     assert lines[2]["scale"] == pytest.approx(1.6029228068079633, abs=1e-9)
 
 
@@ -558,13 +565,27 @@ def test_own_key_that_overrides_a_default_is_checked_against_the_kind(tmp_path, 
             "job 'r' is missing required key 'rho'",
         ),
         ("tau = 1\n[r]\nkind = mass\n", "File contains no section headers"),
-        ("[r]\nkind = mass\ndomain = cube\nrho = 1\n", "unknown domain 'cube'"),
+        # the library's own input errors name their job
+        ("[r]\nkind = mass\ndomain = cube\nrho = 1\n", "job 'r': unknown domain 'cube'"),
+        (
+            "[r]\nkind = mass\ndomain = square\nrho = 1\nquad_abs_tol = 0\n",
+            "job 'r': tolerances must be positive and finite",
+        ),
+        (
+            "[r]\nkind = bracket\ndomain = square\nrho = 1\nf = x\nh = z\n",
+            "job 'r': function h 'z' uses variables ['z']",
+        ),
+        (
+            "[r]\nkind = area\nrho = 1\ntheta_map = theta\nphi_map = phi\n"
+            "s_lo = 2\ns_hi = 1\nt_lo = 1\nt_hi = 2\n",
+            "job 'r': parameter interval I1 = (2.0, 1.0) must satisfy",
+        ),
         # a row's density is checked before the row above it runs
         *(
             (
                 "[a]\nkind = mass\ndomain = square\nrho = 1\n"
                 f"[r]\nkind = {kind}\ndomain = square\nrho = z\n",
-                "density 'z' uses variables ['z'] outside the square coordinates",
+                "job 'r': density 'z' uses variables ['z'] outside the square coordinates",
             )
             for kind in ("mass", "normalize")
         ),
@@ -584,6 +605,36 @@ def test_malformed_table_exits_1(tmp_path, capsys, text, message):
     code, out, err = run_cli(capsys, "table", str(cfg))
     assert code == 1 and out == ""
     assert message in err
+
+
+# A valid one-row table of each kind.
+_VALID_ROWS = {
+    "bracket": {"domain": "square", "rho": "1", "f": "x", "h": "y"},
+    "mass": {"domain": "square", "rho": "1"},
+    "normalize": {"domain": "square", "rho": "1"},
+    "area": {
+        "rho": "1", "theta_map": "theta", "phi_map": "phi + t", "s_lo": "pi/4",
+        "s_hi": "3*pi/4", "t_lo": "pi/4", "t_hi": "3*pi/4",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        (kind, key)
+        for kind in _KIND_KEYS
+        for key in sorted((_COMMON_KEYS | _KIND_KEYS[kind]) - {"kind"})
+    ],
+)
+def test_every_listed_key_is_read_by_its_kind(tmp_path, capsys, kind, key):
+    # a listed key that the builder never read would leave "(" unnoticed
+    row = {"kind": kind, **_VALID_ROWS[kind], key: "("}
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("[row]\n" + "".join(f"{k} = {v}\n" for k, v in row.items()))
+    code, out, err = run_cli(capsys, "table", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -123,9 +123,25 @@ def test_kernel_output_form_does_not_change_the_result(run, form):
     )
 
 
-def test_invalid_interval_rejected():
-    with pytest.raises(QuadratureError):
-        integrate_1d(np.sin, 1.0, 1.0)
+# Empty, infinite, or with an infinite width or midpoint: the constant 1
+# would otherwise be evaluated at nan or inf.
+@pytest.mark.parametrize(
+    "interval", [(1.0, 1.0), (0.0, math.inf), (1e308, 1.7e308), (-1e308, 1e308)]
+)
+def test_invalid_interval_rejected(interval):
+    with pytest.raises(QuadratureError, match="invalid interval"):
+        integrate_1d(np.sin, *interval)
+
+    def one(*coords):
+        return 1.0
+
+    for box in ((interval, (0.0, 1.0)), ((0.0, 1.0), interval)):
+        with pytest.raises(QuadratureError, match="invalid interval"):
+            integrate_2d(one, box)
+        with pytest.raises(QuadratureError, match="invalid interval"):
+            integrate_4d(one, box, ((0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(QuadratureError, match="invalid interval"):
+            integrate_4d(one, ((0.0, 1.0), (0.0, 1.0)), box)
 
 
 def test_spec_validation():
