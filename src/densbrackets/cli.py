@@ -53,13 +53,16 @@ parsed and checked:
   ``t_lo``, ``t_hi``, ``weight_mode`` (measure) and ``quad_max_evals``
   (the library's budget).
 
-Any other key is an input error that names the job and the key.  A key
+Any other key is an input error that names the job and the key, and so
+is a ``quad_*`` value that ``QuadSpec`` refuses, such as ``quad_abs_tol =
+0`` (``r.quad_abs_tol must be positive and finite, got 0.0``).  A key
 set in ``[DEFAULT]`` reaches every job; it must be read by some kind, and
 a job whose kind does not read it ignores it.
 
 The commands' ``--abs-tol``, ``--rel-tol``, ``--max-subdivisions`` and
 ``--max-evals`` fill the ``quad_*`` keys, ``--no-normalize`` sets
 ``normalize`` to false, and every other flag fills the key of its name.
+An error about a key that a flag filled names the flag.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable
 
 from . import __version__
@@ -202,6 +205,14 @@ _FLAG_KEYS = {
 }
 _KEY_FLAGS = {key: flag for flag, key in _FLAG_KEYS.items()}
 
+# The QuadSpec fields that the key "quad_<field>" sets, and their parsers.
+_SPEC_FIELDS = (
+    ("max_evals", _parse_int),
+    ("abs_tol", _parse_number),
+    ("rel_tol", _parse_number),
+    ("max_subdivisions", _parse_int),
+)
+
 
 @dataclass(frozen=True)
 class _Job:
@@ -256,15 +267,18 @@ def _build_job(
     for key, tol in (("tol_abs", tol_abs), ("tol_rel", tol_rel)):
         if not tol >= 0.0:
             raise CliInputError(f"{where(key)} must not be negative, got {tol!r}")
-    default = QuadSpec()
+    spec = QuadSpec()
     if kind == "area":
-        default = QuadSpec(abs_tol=DEFAULT_TOL, rel_tol=DEFAULT_TOL)
-    spec = QuadSpec(
-        max_evals=read("quad_max_evals", _parse_int, None),
-        abs_tol=read("quad_abs_tol", _parse_number, default.abs_tol),
-        rel_tol=read("quad_rel_tol", _parse_number, default.rel_tol),
-        max_subdivisions=read("quad_max_subdivisions", _parse_int, default.max_subdivisions),
-    )
+        spec = QuadSpec(abs_tol=DEFAULT_TOL, rel_tol=DEFAULT_TOL)
+    # one field at a time, so that QuadSpec's check speaks of this key
+    for field, convert in _SPEC_FIELDS:
+        key = "quad_" + field
+        value = read(key, convert, None)
+        if value is not None:
+            try:
+                spec = replace(spec, **{field: value})
+            except QuadratureError as exc:
+                raise CliInputError(where(key) + str(exc).removeprefix(field)) from exc
 
     if kind == "bracket":
         try:

@@ -5,10 +5,10 @@ globally adaptive bisection: the interval with the largest local error
 estimate ``|G - K|`` is split first, ties broken by the leftmost interval,
 until the sums over the current partition meet the tolerance.  Those sums,
 the ones the last convergence test read, are the value and error returned.
-Each is a plain sum of the partition's panels in slot order, which is the
-order the interval's own bisections created them in, so the result is a
-pure function of the inputs: repeat runs are bit-identical, and batched
-evaluation cannot change the reduction order.
+Each is a plain sum of the partition's panels in slot order: the panels of
+the start partition left to right, then the order the bisections created
+them in.  The result is a pure function of the inputs: repeat runs are
+bit-identical, and batched evaluation cannot change the reduction order.
 
 Every integral runs through one adaptive core, which advances a block of
 independent integrations ("rows") in lockstep.  Each row keeps its own
@@ -26,6 +26,17 @@ runs at 10x tighter tolerance than the axis outside it: (tol, tol/10) in
 sum plus a Kronrod-weighted bound on the accumulated inner error.  Kronrod
 nodes are strictly interior, so integrands defined on open intervals are
 never evaluated at the endpoints.
+
+An integral starts from the one panel of its interval, except in the pair
+of the top-level group (every 2-d integral, and the (s, t) pair of the 4-d
+case), which always runs one row.  There, the inner integral of an outer
+split round starts from the partition that the split panel's inner
+integral ended on, built over the same inner range for outer nodes that
+span both halves; the new integral still refines it against its own
+tolerance.  Its P panels take slots 0..P-1, and the P - 1 bisections that
+made them count against ``max_subdivisions``.  The pairs of a block start
+from one panel: its rows would need start partitions of different sizes in
+one integrand call.
 
 An evaluation budget stops the run after the round in flight.  An outer
 split round whose inner integrals have not all started is dropped, and its
@@ -153,8 +164,9 @@ class QuadSpec:
     evaluations across all nesting levels (integrand values plus the inner
     integrals fed to outer levels).  The cap is checked between rounds: the
     round in flight finishes, so the count may overshoot it by one round of
-    one block, and by the first panels of inner integrals that had not
-    started while no level had an estimate yet.
+    one block (the first round of a seeded inner integral evaluates its
+    whole start partition), and by the first panels of inner integrals
+    that had not started while no level had an estimate yet.
     """
 
     abs_tol: float = 1e-10
@@ -163,12 +175,19 @@ class QuadSpec:
     max_evals: int | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.abs_tol < np.inf and 0.0 < self.rel_tol < np.inf):
-            raise QuadratureError("tolerances must be positive and finite")
-        if self.max_subdivisions < 1:
-            raise QuadratureError("max_subdivisions must be >= 1")
-        if self.max_evals is not None and self.max_evals < 15:
-            raise QuadratureError("max_evals must allow at least one panel")
+        # each message starts with the name of the field it is about
+        for name, ok, rule in (
+            ("abs_tol", 0.0 < self.abs_tol < np.inf, "must be positive and finite"),
+            ("rel_tol", 0.0 < self.rel_tol < np.inf, "must be positive and finite"),
+            ("max_subdivisions", self.max_subdivisions >= 1, "must be >= 1"),
+            (
+                "max_evals",
+                self.max_evals is None or self.max_evals >= 15,
+                "must allow at least one panel (15 evaluations)",
+            ),
+        ):
+            if not ok:
+                raise QuadratureError(f"{name} {rule}, got {getattr(self, name)!r}")
 
     def tightened(self, factor: float) -> "QuadSpec":
         """Both tolerances divided by ``factor``, floored at the smallest
@@ -232,13 +251,15 @@ _BLOCK_ROWS = 16
 # Integrand protocol: f(*coords) -> values that broadcast against the coords.
 _Integrand = Callable[..., np.ndarray]
 
-# One axis's integrand over a block of rows: f(x, live) takes the nodes
-# x[i, n] of the live rows (an index array or a slice) and returns
-# (values, aux) of shape (len(x), k, n): k components per row, all on the
-# row's partition.  aux is None or the absolute error carried by the values
-# (the error estimates of inner integrals, propagated outward).
+# One axis's integrand over a block of rows: f(x, live, edges) takes the
+# nodes x[i, n] of the live rows (an index array or a slice) on the panels
+# between consecutive edges[i] and returns (values, aux) of shape
+# (len(x), k, n): k components per row, all on the row's partition.  aux is
+# None or the absolute error carried by the values (the error estimates of
+# inner integrals, propagated outward).
 _RowIntegrand = Callable[
-    [np.ndarray, "np.ndarray | slice"], tuple[np.ndarray, np.ndarray | None]
+    [np.ndarray, "np.ndarray | slice", np.ndarray],
+    tuple[np.ndarray, np.ndarray | None],
 ]
 
 
@@ -256,7 +277,7 @@ def _evaluate(
     lo, hi = edges[:, :-1], edges[:, 1:]
     half = 0.5 * (hi - lo)
     x = np.multiply.outer(half, _GK_NODES) + (0.5 * (lo + hi))[..., None]
-    values, aux = f(x.reshape(len(x), -1), live)
+    values, aux = f(x.reshape(len(x), -1), live, edges)
     run.used += values.size
     shape = values.shape[:2] + (lo.shape[1], 15)
     half = half[..., None]
@@ -302,36 +323,47 @@ def _adaptive(
     run: _Run,
     rows: int,
     outer: Callable[[int, int], tuple[float, ...]],
-) -> tuple[np.ndarray, np.ndarray]:
+    start: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Globally adaptive integration over (a, b) of ``rows`` independent
     integrations, advanced in lockstep.
 
-    Each row keeps its own partition in flat arrays.  Every round, each
-    unconverged row bisects its worst splittable panel (largest error, the
-    leftmost on ties), and the new nodes of all rows go to ``f`` in one
-    call.  After the round, a row whose panel sums meet the tolerance is
-    done; no running total is kept, so that one huge panel cannot absorb
-    the others.  ``outer(row, k)`` gives the outer coordinates of a
-    component, for error reports.  Returns per-component (value,
+    Every row starts from the same partition: ``start``, the edges of P
+    panels from ``a`` to ``b``, or the one panel [a, b] without it.  The
+    first round evaluates the P panels, which take slots 0..P-1, left to
+    right, and counts as P - 1 bisections against ``max_subdivisions``, so
+    a row never holds more than ``max_subdivisions + 1`` panels.  Every
+    later round, each unconverged row bisects its worst splittable panel
+    (largest error, the leftmost on ties), and the new nodes of all rows go
+    to ``f`` in one call.  After each round, a row whose panel sums meet the
+    tolerance is done; no running total is kept, so that one huge panel
+    cannot absorb the others.  ``outer(row, k)`` gives the outer coordinates
+    of a component, for error reports.  Returns per-component (value,
     error_estimate), each [rows, k]: the sums that the row's last
     convergence test read, so ``converged`` speaks of the numbers returned.
-    The error includes the |G - K| sums and the aux error.
+    The error includes the |G - K| sums and the aux error.  The third array
+    holds the left edges of each row's final panels in slot order, [slots,
+    rows], with inf in slots a row never filled.
     """
     every = slice(None)
-    edges = np.array([[a, b]] * rows)
+    edges = np.array([[a, b]] * rows) if start is None else np.tile(start, (rows, 1))
     value, err, aux = _evaluate(f, edges, every, run)
     ea = err if aux is None else err + aux
-    value, ea = value[:, 0], ea[:, 0]
-    k = value.shape[1]
-    if not math.isfinite(ea.sum()):
-        first = np.concatenate([value, ea, edges[:, ::-1]], 1)
-        _check_records(first[None], first[:, : 2 * k], k, outer)
-    done = _met(value, ea, spec)
+    p, k = value.shape[1:]
+    # the start panels, slot-major: [value | error | right | left]
+    records = np.concatenate(
+        [value, ea, edges[:, 1:, None], edges[:, :-1, None]], 2
+    ).transpose(1, 0, 2)
+    # each row's [value | error] sums from the last test of its partition
+    # (a sum of one panel would turn -0.0 into 0.0)
+    total = records[0, :, : 2 * k].copy() if p == 1 else records[..., : 2 * k].sum(0)
+    if not math.isfinite(total.sum()):
+        _check_records(records, total, k, outer)
+    done = _met(total[:, :k], total[:, k:], spec)
     converged = int(np.count_nonzero(done))
-    mid = 0.5 * (a + b)
-    if converged == rows or run.exhausted or not a < mid < b:
+    if converged == rows or run.exhausted:
         run.converged = run.converged and converged == rows
-        return value, ea
+        return total[:, :k], total[:, k:], records[..., -1]
 
     # The partition, slot-major: panels[s, i] is the record of the panel in
     # slot s of row i, [value | error | right | left | priority].  A split's
@@ -339,20 +371,21 @@ def _adaptive(
     # slot r.  Unused slots have left = inf; done rows, and panels found too
     # narrow to bisect, have priority -inf.
     width = 2 * k + 3
-    panels = _blank(8, rows, width)
-    priority = ea.max(1)
+    panels = _blank(max(8, 2 * p), rows, width)
+    panels[:p, :, :-1] = records
+    priority = ea.max(2).T
     if converged:
-        priority[done] = -np.inf
-    # each row's [value | error] sums from the last test of its partition
-    total = np.concatenate([value, ea], 1)
-    panels[0] = np.concatenate([total, edges[:, ::-1], priority[:, None]], 1)
+        priority[:, done] = -np.inf
+    panels[:p, :, -1] = priority
     index = np.arange(rows)
-    # Bisection keeps every panel of depth d at least (b - a) / 2**d - eps M
-    # wide, M = max(|a|, |b|), and a panel wider than 2 eps M is splittable:
-    # until round `narrowing` no panel can be too narrow to bisect, and the
+    # Bisection keeps every panel d bisections below a start panel of width
+    # w at least w / 2**d - eps M wide, M = max(|a|, |b|), and a panel wider
+    # than 2 eps M is splittable: until round `narrowing`, counted from the
+    # narrowest start panel, no panel can be too narrow to bisect, and the
     # test for one is skipped.
-    narrowing = math.log2((b - a) / (4 * _EPS * max(abs(a), abs(b)) + 1e-300))
-    r = 0  # every live row has split r times
+    w = (edges[0, 1:] - edges[0, :-1]).min()
+    narrowing = p - 1 + math.log2(w / (4 * _EPS * max(abs(a), abs(b)) + 1e-300))
+    r = p - 1  # every live row has split r times, counting the start's splits
 
     while r < spec.max_subdivisions and not run.exhausted:
         priority = panels[..., -1]
@@ -406,7 +439,7 @@ def _adaptive(
     run.converged = run.converged and converged == rows
     if not math.isfinite(total.sum()):
         _check_records(panels, total, k, outer)
-    return total[:, :k], total[:, k:]
+    return total[:, :k], total[:, k:], panels[: r + 1, :, -2]
 
 
 def _blank(cap: int, rows: int, width: int) -> np.ndarray:
@@ -442,6 +475,11 @@ def _iterated(
     runs one integral over ``groups[1:]``; these run in blocks of
     ``_BLOCK_ROWS`` rows.  ``specs`` holds one spec per axis, group by group.
     Returns per-row (value, error_estimate).
+
+    The pair of the top-level group (no ``fixed`` coordinates, one row)
+    keeps the inner partition that each outer panel's integral ended on and
+    starts the inner integral of a split round from the split panel's; a
+    pair in a block starts every inner integral from one panel.
     """
 
     def leaf(coords):
@@ -462,27 +500,38 @@ def _iterated(
 
     (lo, hi), *inner = groups[0]
     if not inner:
-        def f(x, live):
+        def f(x, live, edges):
             return leaf(tuple(c[live, None, None] for c in fixed) + (x[:, None, :],))
     else:
         ((vlo, vhi),) = inner
+        # the final inner partition of each outer panel, keyed by its edges
+        ends = None if fixed else {}
 
-        def f(u, live):
+        def f(u, live, edges):
             fixed_u = tuple(c[live] for c in fixed)
 
-            def fv(v, live_v):
+            def fv(v, live_v, _):
                 return leaf(
                     tuple(c[live_v, None, None] for c in fixed_u)
                     + (u[live_v, :, None], v[:, None, :])
                 )
 
-            value, error = _adaptive(
+            start = None
+            if ends is not None:
+                e = edges[0].tolist()
+                if len(e) == 3:  # a split round: its panel's partition
+                    start = ends.pop((e[0], e[2]))
+            value, error, lefts = _adaptive(
                 fv, vlo, vhi, specs[0][1], run, len(u),
                 lambda r, k: _coords_of(fixed_u, r) + (float(u[r, k]),),
+                start,
             )
+            if ends is not None:
+                partition = np.append(np.sort(lefts[:, 0]), vhi)
+                ends.update(((lo, hi), partition) for lo, hi in zip(e, e[1:]))
             return value[:, None, :], error[:, None, :]
 
-    value, error = _adaptive(
+    value, error, _ = _adaptive(
         f, lo, hi, specs[0][0], run, rows, lambda r, k: _coords_of(fixed, r)
     )
     return value[:, 0], error[:, 0]
@@ -511,6 +560,17 @@ def _fan_out(g, groups, specs, run, coords) -> tuple[np.ndarray, np.ndarray]:
     return value.reshape(grid[0].shape), error.reshape(grid[0].shape)
 
 
+def _specs(spec: QuadSpec, groups) -> list[tuple[QuadSpec, ...]]:
+    """One spec per axis, group by group, each nested axis 10x tighter than
+    the axis outside it."""
+    specs, level = [], spec
+    for group in groups:
+        if specs:
+            level = level.tightened(10.0 ** len(specs[-1]))
+        specs.append((level, level.tightened(10.0))[: len(group)])
+    return specs
+
+
 def _integrate(
     f: _Integrand,
     groups: tuple[tuple[Interval, ...], ...],
@@ -526,16 +586,11 @@ def _integrate(
                 raise QuadratureError(f"invalid interval ({lo!r}, {hi!r})")
         checked.append(group)
     spec = spec or QuadSpec()
-    specs, level = [], spec
-    for group in checked:
-        if specs:
-            level = level.tightened(10.0 ** len(specs[-1]))
-        specs.append((level, level.tightened(10.0))[: len(group)])
     run = _Run(spec.max_evals)
     # panel sums may overflow on a divergent integrand; that raises
     # DivergentIntegralError, not a warning
     with np.errstate(all="ignore"):
-        value, err = _iterated(f, tuple(checked), specs, run, (), 1)
+        value, err = _iterated(f, tuple(checked), _specs(spec, checked), run, (), 1)
     return QuadResult(
         float(value[0]), float(err[0]), run.used, run.converged and not run.exhausted
     )

@@ -415,6 +415,24 @@ def test_infinite_tolerance_flag_exits_1(capsys):
     assert "--abs-tol" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--abs-tol", "0", "--abs-tol must be positive and finite, got 0.0"),
+        ("--rel-tol", "-1", "--rel-tol must be positive and finite, got -1.0"),
+        ("--max-subdivisions", "0", "--max-subdivisions must be >= 1, got 0"),
+    ],
+)
+def test_out_of_range_quadrature_flag_is_named(capsys, flag, value, message):
+    code, out, err = run_cli(
+        capsys,
+        "bracket", "--domain", "square", "--rho", "1", "--f", "x", "--h", "y",
+        flag, value,
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_huge_absolute_tolerance_of_a_reduced_area_runs(capsys):
     # the reduced path divides --abs-tol by |I2| = 0.5: 2e308 would overflow
     code, out, err = run_cli(
@@ -567,9 +585,19 @@ def test_own_key_that_overrides_a_default_is_checked_against_the_kind(tmp_path, 
         ("tau = 1\n[r]\nkind = mass\n", "File contains no section headers"),
         # the library's own input errors name their job
         ("[r]\nkind = mass\ndomain = cube\nrho = 1\n", "job 'r': unknown domain 'cube'"),
+        # an out-of-range quadrature key is named with its value
+        *(
+            (f"[r]\nkind = mass\ndomain = square\nrho = 1\n{key} = {value}\n", message)
+            for key, value, message in (
+                ("quad_abs_tol", "0", "r.quad_abs_tol must be positive and finite, got 0.0"),
+                ("quad_rel_tol", "-1", "r.quad_rel_tol must be positive and finite, got -1.0"),
+                ("quad_max_subdivisions", "0", "r.quad_max_subdivisions must be >= 1, got 0"),
+            )
+        ),
         (
-            "[r]\nkind = mass\ndomain = square\nrho = 1\nquad_abs_tol = 0\n",
-            "job 'r': tolerances must be positive and finite",
+            "[r]\nkind = area\nrho = 1\ntheta_map = theta\nphi_map = phi + t\n"
+            "s_lo = 1\ns_hi = 2\nt_lo = 1\nt_hi = 2\nquad_max_evals = 3\n",
+            "r.quad_max_evals must allow at least one panel (15 evaluations), got 3",
         ),
         (
             "[r]\nkind = bracket\ndomain = square\nrho = 1\nf = x\nh = z\n",

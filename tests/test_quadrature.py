@@ -368,9 +368,15 @@ def test_2d_square_bracket_integrand():
 
 
 def test_2d_torus_bessel_mass():
-    f = lambda U, V: np.exp(np.cos(U) + np.cos(V)) / (4 * math.pi**2)
-    r = integrate_2d(f, ((0, 2 * math.pi), (0, 2 * math.pi)))
-    assert r.value == pytest.approx(I0_AT_1_SQUARED, abs=1e-8)
+    # The inner integral of each outer split round starts from the inner
+    # partition of the split panel: 10680 evaluations, where starting from
+    # one panel took 17430.
+    spec = QuadSpec()
+    f = lambda U, V: np.exp(np.cos(U) + np.cos(V))
+    r = integrate_2d(f, ((0, 2 * math.pi), (0, 2 * math.pi)), spec)
+    exact = 4 * math.pi**2 * I0_AT_1_SQUARED
+    assert r.converged and r.n_evals == 10680
+    assert abs(r.value - exact) <= max(spec.abs_tol, spec.rel_tol * exact)
 
 
 def test_2d_error_includes_inner_accumulation():
@@ -448,3 +454,84 @@ def test_4d_budget_stops_after_the_round_in_flight():
         # the estimate of the last complete outer round
         assert r.value == pytest.approx(full.value, abs=1e-3)
 
+
+# -- rows and seeds -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        (((0.0, 1.0), (0.0, 2.0)),),
+        (((0.0, 1.0),), ((0.0, 2.0), (0.5, 1.5))),
+    ],
+    ids=["pair", "axis and pair"],
+)
+def test_a_rows_numbers_do_not_depend_on_its_block(groups):
+    # Rows whose partitions differ on every axis, run as one block and one
+    # by one.
+    def g(c, *x):
+        return (
+            np.sqrt(np.abs(x[-1] - c)) * np.cos(c * sum(x))
+            + np.sqrt(np.abs(x[-2] - c / 2))
+            + np.sqrt(np.abs(x[0] - c / 3))
+        )
+
+    c = np.array([0.3, 1.1, 0.75, 1.9, 0.05])
+    specs = quadrature._specs(QuadSpec(abs_tol=1e-4, rel_tol=1e-4), groups)
+    block = quadrature._Run(None)
+    value, error = quadrature._iterated(g, groups, specs, block, (c,), len(c))
+    used = 0
+    for i in range(len(c)):
+        alone = quadrature._Run(None)
+        v, e = quadrature._iterated(g, groups, specs, alone, (c[i : i + 1],), 1)
+        assert (v[0], e[0]) == (value[i], error[i])
+        used += alone.used
+    assert block.used == used
+
+
+def _spy_on_seeds(monkeypatch):
+    """Record (start panels, final panels) of every inner integral of a pair."""
+    calls = []
+    adaptive = quadrature._adaptive
+
+    def spy(f, a, b, spec, run, rows, outer, start=None):
+        value, error, lefts = adaptive(f, a, b, spec, run, rows, outer, start)
+        p = 1 if start is None else len(start) - 1
+        calls.append((p, int(np.isfinite(lefts).sum(0).max())))
+        return value, error, lefts
+
+    monkeypatch.setattr(quadrature, "_adaptive", spy)
+    return calls
+
+
+def test_a_seeded_axis_holds_at_most_max_subdivisions_plus_one_panels(monkeypatch):
+    calls = _spy_on_seeds(monkeypatch)
+    spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=6)
+    r = integrate_2d(
+        lambda u, v: np.sqrt(np.abs(v - 1 / 3)) * (1 + u) + np.sqrt(np.abs(u - 0.6)),
+        ((0, 1), (0, 1)),
+        spec,
+    )
+    assert not r.converged
+    assert max(p for p, _ in calls) == 7  # some inner integral started full
+    assert all(panels <= 7 for _, panels in calls)
+
+
+def test_seed_panels_too_narrow_to_bisect_stop_the_row(monkeypatch):
+    # The first inner integral bisects down to 64 panels of one ulp; every
+    # later one starts from them, finds each too narrow to bisect and
+    # evaluates nothing more.  The outer axis splits max_subdivisions times.
+    calls = _spy_on_seeds(monkeypatch)
+    tiny = QuadSpec(abs_tol=5e-324, rel_tol=5e-324, max_subdivisions=64)
+    r = integrate_2d(
+        lambda u, v: np.sin(1e17 * v) + 0.0 * u,
+        ((0.0, 1.0), (1.0, 1.0 + 64 * math.ulp(1.0))),
+        tiny,
+    )
+    assert not r.converged
+    inner = calls[:-1]  # the outer integral returns last
+    assert inner == [(1, 64)] + [(64, 64)] * 64
+    # the first outer panel: the inner first panel and 63 bisections at its
+    # 15 nodes, and its 15 inner results
+    first = 15 * 15 + 63 * 15 * 30 + 15
+    assert r.n_evals == first + 64 * (64 * 15 * 30 + 30)
