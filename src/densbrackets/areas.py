@@ -67,6 +67,7 @@ from .quadrature import QuadResult, QuadSpec, integrate_2d, integrate_4d
 __all__ = [
     "FlowMap",
     "AreaProblem",
+    "IntervalError",
     "WEIGHT_MODES",
     "DEFAULT_TOL",
     "DEFAULT_EVAL_BUDGET",
@@ -86,6 +87,15 @@ DEFAULT_EVAL_BUDGET = 5_000_000_000
 _VARS = ("s", "t", "phi", "theta")
 _THETA_BOX = SPHERE.box[0]
 _PHI_BOX = SPHERE.box[1]
+
+
+class IntervalError(GeometryError):
+    """A parameter interval is out of range; ``field`` names it
+    (``s_interval`` or ``t_interval``)."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -120,18 +130,17 @@ class AreaProblem:
             raise GeometryError(
                 f"weight_mode must be one of {WEIGHT_MODES}, got {self.weight_mode!r}"
             )
-        s_lo, s_hi = self.s_interval
-        t_lo, t_hi = self.t_interval
-        if not (0.0 < s_lo < s_hi < math.pi):
-            raise GeometryError(
-                f"parameter interval I1 = {self.s_interval!r} must satisfy "
-                "0 < lo < hi < pi"
-            )
-        if not (0.0 < t_lo < t_hi < 2.0 * math.pi):
-            raise GeometryError(
-                f"parameter interval I2 = {self.t_interval!r} must satisfy "
-                "0 < lo < hi < 2*pi"
-            )
+        for field, name, top, top_text in (
+            ("s_interval", "I1", math.pi, "pi"),
+            ("t_interval", "I2", 2.0 * math.pi, "2*pi"),
+        ):
+            lo, hi = interval = getattr(self, field)
+            if not (0.0 < lo < hi < top):
+                raise IntervalError(
+                    field,
+                    f"parameter interval {name} = {interval!r} must satisfy "
+                    f"0 < lo < hi < {top_text}",
+                )
 
 
 def pullback_density(rho: Expr, flow: FlowMap) -> Expr:

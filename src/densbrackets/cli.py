@@ -8,7 +8,8 @@ Every command writes exactly one JSON document to stdout (JSON lines for
 Numeric flags accept expressions without free variables, so ``--s-lo pi/4``
 works; integer flags and keys must evaluate to a finite integer.  Expression
 flags use the library grammar verbatim; coordinates are spelled ``x, y``
-(square), ``t1, t2`` (torus) and ``theta, phi`` (sphere).
+(square), ``t1, t2`` (torus) and ``theta, phi`` (sphere).  A flag value may
+start with ``-``: ``--f -x`` reads as ``--f=-x``.
 
 Batch configs are INI-style files, one section per job, e.g.::
 
@@ -75,7 +76,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable
 
 from . import __version__
-from .areas import DEFAULT_TOL, AreaProblem, FlowMap, WEIGHT_MODES, area
+from .areas import DEFAULT_TOL, AreaProblem, FlowMap, IntervalError, WEIGHT_MODES, area
 from .brackets import BracketProblem, bracket
 from .expressions import Const, Expr, ExpressionError, evaluate, parse
 from .geometry import (
@@ -100,8 +101,39 @@ class CliInputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argument parser whose subcommands share one record of the flags
+    that take a value."""
+
+    def __init__(self, *args, value_flags: set[str] | None = None, **kwargs):
+        self.value_flags = set() if value_flags is None else value_flags
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:  # one value
+            self.value_flags.update(action.option_strings)
+        return action
+
     def error(self, message):  # route argparse failures to exit code 1
         raise CliInputError(message)
+
+    def glue_values(self, argv: list[str]) -> list[str]:
+        """``--f -x`` as ``--f=-x``.  argparse takes a value that starts with
+        '-' for an option unless it is a plain negative number, so ``-x``
+        and ``-1e-3`` would leave their flag without a value."""
+        glued: list[str] = []
+        for arg in argv:
+            if (
+                glued
+                and glued[-1] in self.value_flags
+                and arg.startswith("-")
+                and not arg.startswith("--")
+                and arg != "-h"
+            ):
+                glued[-1] += "=" + arg
+            else:
+                glued.append(arg)
+        return glued
 
 
 def _parse_expr(text: str, what: str) -> Expr:
@@ -138,8 +170,9 @@ def _build_parser() -> _Parser:
         "--version", action="version", version=f"densbrackets {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {"value_flags": parser.value_flags}
 
-    b = sub.add_parser("bracket", help="Poisson bracket of two functionals")
+    b = sub.add_parser("bracket", help="Poisson bracket of two functionals", **shared)
     b.add_argument("--domain", required=True, choices=list(DOMAINS))
     b.add_argument("--tau", help="conformal factor expression")
     b.add_argument("--rho", required=True, help="density expression")
@@ -156,7 +189,7 @@ def _build_parser() -> _Parser:
         help="integrate the density as given instead of rescaling to mass 1",
     )
 
-    a = sub.add_parser("area", help="symplectic area of a leaf patch")
+    a = sub.add_parser("area", help="symplectic area of a leaf patch", **shared)
     a.add_argument("--rho", required=True, help="normalized sphere density")
     a.add_argument("--theta-map", required=True)
     a.add_argument("--phi-map", required=True)
@@ -170,7 +203,9 @@ def _build_parser() -> _Parser:
     a.add_argument("--max-subdivisions")
     a.add_argument("--max-evals")
 
-    t = sub.add_parser("table", help="run a batch config, one JSON line per job")
+    t = sub.add_parser(
+        "table", help="run a batch config, one JSON line per job", **shared
+    )
     t.add_argument("config", help="path to an INI-style job file")
 
     return parser
@@ -324,7 +359,13 @@ def _build_job(
             t_interval=(read("t_lo", _parse_number), read("t_hi", _parse_number)),
             weight_mode=read("weight_mode", default="measure"),
         )
-        problem.validate()
+        try:
+            problem.validate()
+        except IntervalError as exc:
+            axis = exc.field[0]  # the keys <axis>_lo and <axis>_hi fill it
+            raise CliInputError(
+                f"{where(axis + '_lo')}, {where(axis + '_hi')}: {exc}"
+            ) from exc
 
         def run() -> dict[str, Any]:
             return {**asdict(area(problem, spec)), "weight_mode": problem.weight_mode}
@@ -420,7 +461,9 @@ def run_table(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            parser.glue_values(sys.argv[1:] if argv is None else argv)
+        )
         if args.command == "table":
             return run_table(args)
         return _run_command(args)

@@ -27,21 +27,23 @@ sum plus a Kronrod-weighted bound on the accumulated inner error.  Kronrod
 nodes are strictly interior, so integrands defined on open intervals are
 never evaluated at the endpoints.
 
-An integral starts from the one panel of its interval, except in the pair
-of the top-level group (every 2-d integral, and the (s, t) pair of the 4-d
-case), which always runs one row.  There, the inner integral of an outer
-split round starts from the partition that the split panel's inner
-integral ended on, built over the same inner range for outer nodes that
-span both halves; the new integral still refines it against its own
-tolerance.  Its P panels take slots 0..P-1, and the P - 1 bisections that
-made them count against ``max_subdivisions``.  The pairs of a block start
-from one panel: its rows would need start partitions of different sizes in
-one integrand call.
+An integral starts from the one panel of its interval, except the inner
+integral of a pair's outer split round.  That one starts, row by row, from
+the partition that the split panel's inner integral ended on, built over
+the same inner range for outer nodes that span both halves; the new
+integral still refines it against its own tolerance.  Its P panels take
+slots 0..P-1, and the P - 1 bisections that made them count against
+``max_subdivisions``.  The rows of a block may hold start partitions of
+different sizes, so a split round runs one inner integration per size P,
+in ascending order, over the rows that start from P panels; each row takes
+the bisections it would take alone.
 
 An evaluation budget stops the run after the round in flight.  An outer
 split round whose inner integrals have not all started is dropped, and its
-level keeps the estimate it had; before any level has an estimate, the
-inner integrals still to start take their first panel only.
+level keeps the estimate it had: once the budget is out, neither another
+block nor another start size of the same block starts.  Before any level
+has an estimate, the inner integrals still to start take their first panel
+only.
 
 Integrands are numpy-broadcasting callables ``f(*coords)``, such as the
 kernels of :func:`densbrackets.expressions.compile_expr`: every coordinate,
@@ -164,9 +166,10 @@ class QuadSpec:
     evaluations across all nesting levels (integrand values plus the inner
     integrals fed to outer levels).  The cap is checked between rounds: the
     round in flight finishes, so the count may overshoot it by one round of
-    one block (the first round of a seeded inner integral evaluates its
-    whole start partition), and by the first panels of inner integrals
-    that had not started while no level had an estimate yet.
+    the rows of one block that start from the same number of panels (the
+    first round of a seeded inner integral evaluates each row's whole start
+    partition), and by the first panels of inner integrals that had not
+    started while no level had an estimate yet.
     """
 
     abs_tol: float = 1e-10
@@ -328,14 +331,18 @@ def _adaptive(
     """Globally adaptive integration over (a, b) of ``rows`` independent
     integrations, advanced in lockstep.
 
-    Every row starts from the same partition: ``start``, the edges of P
-    panels from ``a`` to ``b``, or the one panel [a, b] without it.  The
-    first round evaluates the P panels, which take slots 0..P-1, left to
-    right, and counts as P - 1 bisections against ``max_subdivisions``, so
-    a row never holds more than ``max_subdivisions + 1`` panels.  Every
-    later round, each unconverged row bisects its worst splittable panel
-    (largest error, the leftmost on ties), and the new nodes of all rows go
-    to ``f`` in one call.  After each round, a row whose panel sums meet the
+    Every row starts from P panels: row i from its own edges ``start[i]``
+    (``start`` is [rows, P + 1], each row from ``a`` to ``b``), or from the
+    one panel [a, b] without ``start``.  The first round evaluates the P
+    panels, which take slots 0..P-1, left to right, and counts as P - 1
+    bisections against ``max_subdivisions``, so a row never holds more than
+    ``max_subdivisions + 1`` panels.  Every later round, each unconverged
+    row bisects its worst splittable panel (largest error, the leftmost on
+    ties), and the new nodes of all rows go to ``f`` in one call.  As all
+    rows start from the same number of panels, each takes the slots, sums
+    and evaluations it would take alone.  A budget that runs out stops the
+    loop after the round in flight, whose first round evaluates every start
+    panel of every row.  After each round, a row whose panel sums meet the
     tolerance is done; no running total is kept, so that one huge panel
     cannot absorb the others.  ``outer(row, k)`` gives the outer coordinates
     of a component, for error reports.  Returns per-component (value,
@@ -346,7 +353,7 @@ def _adaptive(
     rows], with inf in slots a row never filled.
     """
     every = slice(None)
-    edges = np.array([[a, b]] * rows) if start is None else np.tile(start, (rows, 1))
+    edges = np.array([[a, b]] * rows) if start is None else start
     value, err, aux = _evaluate(f, edges, every, run)
     ea = err if aux is None else err + aux
     p, k = value.shape[1:]
@@ -381,9 +388,9 @@ def _adaptive(
     # Bisection keeps every panel d bisections below a start panel of width
     # w at least w / 2**d - eps M wide, M = max(|a|, |b|), and a panel wider
     # than 2 eps M is splittable: until round `narrowing`, counted from the
-    # narrowest start panel, no panel can be too narrow to bisect, and the
-    # test for one is skipped.
-    w = (edges[0, 1:] - edges[0, :-1]).min()
+    # narrowest start panel of any row, no panel can be too narrow to
+    # bisect, and the test for one is skipped.
+    w = (edges[:, 1:] - edges[:, :-1]).min()
     narrowing = p - 1 + math.log2(w / (4 * _EPS * max(abs(a), abs(b)) + 1e-300))
     r = p - 1  # every live row has split r times, counting the start's splits
 
@@ -476,10 +483,12 @@ def _iterated(
     ``_BLOCK_ROWS`` rows.  ``specs`` holds one spec per axis, group by group.
     Returns per-row (value, error_estimate).
 
-    The pair of the top-level group (no ``fixed`` coordinates, one row)
-    keeps the inner partition that each outer panel's integral ended on and
-    starts the inner integral of a split round from the split panel's; a
-    pair in a block starts every inner integral from one panel.
+    A pair keeps the inner partition that each row's outer panels ended on
+    and starts each row's inner integral of a split round from its split
+    panel's.  The live rows run one inner integration per start size P, in
+    ascending order, so that every row takes the bisections it would take
+    alone.  Once the budget is out, a size that has not started drops the
+    split round.
     """
 
     def leaf(coords):
@@ -504,31 +513,59 @@ def _iterated(
             return leaf(tuple(c[live, None, None] for c in fixed) + (x[:, None, :],))
     else:
         ((vlo, vhi),) = inner
-        # the final inner partition of each outer panel, keyed by its edges
-        ends = None if fixed else {}
+        # the final inner partition (a list of edges) of each row's outer
+        # panels, keyed by (row, left edge, right edge)
+        ends = {}
 
-        def f(u, live, edges):
-            fixed_u = tuple(c[live] for c in fixed)
-
-            def fv(v, live_v, _):
+        def inner_rows(fixed_u, u, start):
+            def fv(v, live, _):
                 return leaf(
-                    tuple(c[live_v, None, None] for c in fixed_u)
-                    + (u[live_v, :, None], v[:, None, :])
+                    tuple(c[live, None, None] for c in fixed_u)
+                    + (u[live, :, None], v[:, None, :])
                 )
 
-            start = None
-            if ends is not None:
-                e = edges[0].tolist()
-                if len(e) == 3:  # a split round: its panel's partition
-                    start = ends.pop((e[0], e[2]))
-            value, error, lefts = _adaptive(
+            return _adaptive(
                 fv, vlo, vhi, specs[0][1], run, len(u),
                 lambda r, k: _coords_of(fixed_u, r) + (float(u[r, k]),),
                 start,
             )
-            if ends is not None:
-                partition = np.append(np.sort(lefts[:, 0]), vhi)
-                ends.update(((lo, hi), partition) for lo, hi in zip(e, e[1:]))
+
+        def f(u, live, edges):
+            fixed_u = tuple(c[live] for c in fixed)
+            ids = range(rows)[live] if isinstance(live, slice) else live.tolist()
+            e = edges.tolist()
+            if len(e[0]) == 3:  # a split round: each row's panel's partition
+                seeds = [ends.pop((i, lo, hi)) for i, (lo, _, hi) in zip(ids, e)]
+            else:
+                seeds = [[vlo, vhi]] * len(ids)
+            by_size = {}
+            for j, seed in enumerate(seeds):
+                by_size.setdefault(len(seed), []).append(j)
+            results = []
+            for size in sorted(by_size):
+                if run.exhausted and run.splitting:
+                    raise _Dropped
+                js = by_size[size]
+                if len(js) == len(ids):
+                    value, error, lefts = inner_rows(fixed_u, u, np.array(seeds))
+                else:
+                    value, error, lefts = inner_rows(
+                        tuple(c[js] for c in fixed_u),
+                        u[js],
+                        np.array([seeds[j] for j in js]),
+                    )
+                results.append((js, value, error))
+                for j, partition in zip(js, np.sort(lefts, 0).T.tolist()):
+                    if partition[-1] == math.inf:  # slots the row never filled
+                        del partition[partition.index(math.inf) :]
+                    partition.append(vhi)
+                    ends.update(
+                        ((ids[j], lo, hi), partition) for lo, hi in zip(e[j], e[j][1:])
+                    )
+            if len(results) > 1:  # else the one size's arrays are the round's
+                value, error = np.empty(u.shape), np.empty(u.shape)
+                for js, v, er in results:
+                    value[js], error[js] = v, er
             return value[:, None, :], error[:, None, :]
 
     value, error, _ = _adaptive(

@@ -420,6 +420,8 @@ def test_infinite_tolerance_flag_exits_1(capsys):
     [
         ("--abs-tol", "0", "--abs-tol must be positive and finite, got 0.0"),
         ("--rel-tol", "-1", "--rel-tol must be positive and finite, got -1.0"),
+        # argparse takes "-1e-3" for an option unless it is glued to its flag
+        ("--rel-tol", "-1e-3", "--rel-tol must be positive and finite, got -0.001"),
         ("--max-subdivisions", "0", "--max-subdivisions must be >= 1, got 0"),
     ],
 )
@@ -431,6 +433,27 @@ def test_out_of_range_quadrature_flag_is_named(capsys, flag, value, message):
     )
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_a_flag_value_may_start_with_a_dash(capsys):
+    code, out, err = run_cli(
+        capsys, "bracket", "--domain", "square", "--rho", "1", "--f", "-x", "--h", "y"
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == -1.0
+
+
+def test_an_interval_out_of_range_names_its_flags(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "area", "--rho", "1", "--theta-map", "theta", "--phi-map", "phi + t",
+        "--s-lo", "-1e-3", "--s-hi", "1", "--t-lo", "1", "--t-hi", "2",
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "error: --s-lo, --s-hi: parameter interval I1 = (-0.001, 1.0) must "
+        "satisfy 0 < lo < hi < pi\n"
+    )
 
 
 def test_huge_absolute_tolerance_of_a_reduced_area_runs(capsys):
@@ -606,7 +629,7 @@ def test_own_key_that_overrides_a_default_is_checked_against_the_kind(tmp_path, 
         (
             "[r]\nkind = area\nrho = 1\ntheta_map = theta\nphi_map = phi\n"
             "s_lo = 2\ns_hi = 1\nt_lo = 1\nt_hi = 2\n",
-            "job 'r': parameter interval I1 = (2.0, 1.0) must satisfy",
+            "r.s_lo, r.s_hi: parameter interval I1 = (2.0, 1.0) must satisfy",
         ),
         # a row's density is checked before the row above it runs
         *(

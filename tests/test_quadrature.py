@@ -455,6 +455,30 @@ def test_4d_budget_stops_after_the_round_in_flight():
         assert r.value == pytest.approx(full.value, abs=1e-3)
 
 
+def test_no_integral_starts_in_a_split_round_once_the_budget_is_out(monkeypatch):
+    # The (u, v) rows of a block split with seeds of several sizes.  Once the
+    # budget is out, a size still to run drops the split round instead of
+    # evaluating its start partitions, as a block still to run does.
+    late = []
+    adaptive = quadrature._adaptive
+
+    def spy(f, a, b, spec, run, rows, outer, start=None):
+        if run.exhausted and run.splitting:
+            late.append(rows)
+        return adaptive(f, a, b, spec, run, rows, outer, start)
+
+    monkeypatch.setattr(quadrature, "_adaptive", spy)
+    box = ((0.0, 1.0), (0.0, 1.0))
+
+    def f(s, t, u, v):
+        return np.sqrt(np.abs(v - s)) * np.cos(u * t) + np.sqrt(np.abs(u - t / 2))
+
+    for max_evals in (186615, 353230):
+        r = integrate_4d(f, box, box, QuadSpec(1e-3, 1e-3, max_evals=max_evals))
+        assert not r.converged and math.isfinite(r.value)
+    assert late == []
+
+
 # -- rows and seeds -------------------------------------------------------------
 
 
@@ -466,9 +490,10 @@ def test_4d_budget_stops_after_the_round_in_flight():
     ],
     ids=["pair", "axis and pair"],
 )
-def test_a_rows_numbers_do_not_depend_on_its_block(groups):
+def test_a_rows_numbers_do_not_depend_on_its_block(groups, monkeypatch):
     # Rows whose partitions differ on every axis, run as one block and one
-    # by one.
+    # by one.  In some split rounds the rows' inner seeds differ in size, so
+    # the round runs one inner integration per size.
     def g(c, *x):
         return (
             np.sqrt(np.abs(x[-1] - c)) * np.cos(c * sum(x))
@@ -479,7 +504,9 @@ def test_a_rows_numbers_do_not_depend_on_its_block(groups):
     c = np.array([0.3, 1.1, 0.75, 1.9, 0.05])
     specs = quadrature._specs(QuadSpec(abs_tol=1e-4, rel_tol=1e-4), groups)
     block = quadrature._Run(None)
+    rounds = _spy_on_rounds(monkeypatch)
     value, error = quadrature._iterated(g, groups, specs, block, (c,), len(c))
+    assert any(len(set(sizes)) > 1 for sizes in rounds)
     used = 0
     for i in range(len(c)):
         alone = quadrature._Run(None)
@@ -489,6 +516,28 @@ def test_a_rows_numbers_do_not_depend_on_its_block(groups):
     assert block.used == used
 
 
+def _spy_on_rounds(monkeypatch):
+    """Record, for every round of every axis, the start panel counts of the
+    inner integrals that the round runs."""
+    rounds, stack = [], [[]]
+    evaluate, adaptive = quadrature._evaluate, quadrature._adaptive
+
+    def evaluate_spy(*args):
+        stack.append([])
+        try:
+            return evaluate(*args)
+        finally:
+            rounds.append(stack.pop())
+
+    def adaptive_spy(f, a, b, spec, run, rows, outer, start=None):
+        stack[-1].append(1 if start is None else start.shape[-1] - 1)
+        return adaptive(f, a, b, spec, run, rows, outer, start)
+
+    monkeypatch.setattr(quadrature, "_evaluate", evaluate_spy)
+    monkeypatch.setattr(quadrature, "_adaptive", adaptive_spy)
+    return rounds
+
+
 def _spy_on_seeds(monkeypatch):
     """Record (start panels, final panels) of every inner integral of a pair."""
     calls = []
@@ -496,7 +545,7 @@ def _spy_on_seeds(monkeypatch):
 
     def spy(f, a, b, spec, run, rows, outer, start=None):
         value, error, lefts = adaptive(f, a, b, spec, run, rows, outer, start)
-        p = 1 if start is None else len(start) - 1
+        p = 1 if start is None else start.shape[-1] - 1
         calls.append((p, int(np.isfinite(lefts).sum(0).max())))
         return value, error, lefts
 
