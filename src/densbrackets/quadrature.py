@@ -31,19 +31,17 @@ An integral starts from the one panel of its interval, except the inner
 integral of a pair's outer split round.  That one starts, row by row, from
 the partition that the split panel's inner integral ended on, built over
 the same inner range for outer nodes that span both halves; the new
-integral still refines it against its own tolerance.  Its P panels take
-slots 0..P-1, and the P - 1 bisections that made them count against
-``max_subdivisions``.  The rows of a block may hold start partitions of
-different sizes, so a split round runs one inner integration per size P,
-in ascending order, over the rows that start from P panels; each row takes
-the bisections it would take alone.
+integral still refines it against its own tolerance, and the P - 1
+bisections that made its P panels count against ``max_subdivisions``.
+The rows of a block may start from partitions of
+different sizes; they still run as one inner integration, one integrand
+call per round, and each row takes the bisections it would take alone.
 
 An evaluation budget stops the run after the round in flight.  An outer
 split round whose inner integrals have not all started is dropped, and its
-level keeps the estimate it had: once the budget is out, neither another
-block nor another start size of the same block starts.  Before any level
-has an estimate, the inner integrals still to start take their first panel
-only.
+level keeps the estimate it had: once the budget is out, no further block
+starts.  Before any level has an estimate, the inner integrals still to
+start take their first panel only.
 
 Integrands are numpy-broadcasting callables ``f(*coords)``, such as the
 kernels of :func:`densbrackets.expressions.compile_expr`: every coordinate,
@@ -166,10 +164,10 @@ class QuadSpec:
     evaluations across all nesting levels (integrand values plus the inner
     integrals fed to outer levels).  The cap is checked between rounds: the
     round in flight finishes, so the count may overshoot it by one round of
-    the rows of one block that start from the same number of panels (the
-    first round of a seeded inner integral evaluates each row's whole start
-    partition), and by the first panels of inner integrals that had not
-    started while no level had an estimate yet.
+    the rows of one block (the first round of a seeded inner integral
+    evaluates each row's whole start partition), and by the first panels of
+    inner integrals that had not started while no level had an estimate
+    yet.
     """
 
     abs_tol: float = 1e-10
@@ -326,44 +324,66 @@ def _adaptive(
     run: _Run,
     rows: int,
     outer: Callable[[int, int], tuple[float, ...]],
-    start: np.ndarray | None = None,
+    start: list[list[float]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Globally adaptive integration over (a, b) of ``rows`` independent
-    integrations, advanced in lockstep.
+    integrations, advanced in lockstep with one ``f`` call per round.
 
-    Every row starts from P panels: row i from its own edges ``start[i]``
-    (``start`` is [rows, P + 1], each row from ``a`` to ``b``), or from the
-    one panel [a, b] without ``start``.  The first round evaluates the P
-    panels, which take slots 0..P-1, left to right, and counts as P - 1
-    bisections against ``max_subdivisions``, so a row never holds more than
-    ``max_subdivisions + 1`` panels.  Every later round, each unconverged
-    row bisects its worst splittable panel (largest error, the leftmost on
-    ties), and the new nodes of all rows go to ``f`` in one call.  As all
-    rows start from the same number of panels, each takes the slots, sums
-    and evaluations it would take alone.  A budget that runs out stops the
-    loop after the round in flight, whose first round evaluates every start
-    panel of every row.  After each round, a row whose panel sums meet the
-    tolerance is done; no running total is kept, so that one huge panel
-    cannot absorb the others.  ``outer(row, k)`` gives the outer coordinates
-    of a component, for error reports.  Returns per-component (value,
-    error_estimate), each [rows, k]: the sums that the row's last
-    convergence test read, so ``converged`` speaks of the numbers returned.
-    The error includes the |G - K| sums and the aux error.  The third array
-    holds the left edges of each row's final panels in slot order, [slots,
-    rows], with inf in slots a row never filled.
+    Row i starts from the P_i panels between its edges ``start[i]`` (each
+    from ``a`` to ``b``; the sizes may differ), or from the one panel [a, b]
+    without ``start``.  The first round evaluates every start panel, and
+    counts as P_i - 1 bisections against ``max_subdivisions``, so a row
+    never holds more than ``max_subdivisions + 1`` panels.  Every later
+    round, each unconverged row bisects its worst splittable panel (largest
+    error, the leftmost on ties).  Each row takes the slots, sums and
+    evaluations it would take alone: with P = max P_i, row i's start panels
+    take slots P - P_i .. P - 1, left to right, and value and error -0.0 in
+    the slots before them, which add nothing to its sums (x + -0.0 == x).  A
+    budget that runs out stops the loop after the round in flight, whose
+    first round evaluates every start panel of every row.  After each round,
+    a row whose panel sums meet the tolerance is done; no running total is
+    kept, so that one huge panel cannot absorb the others.  ``outer(row,
+    k)`` gives the outer coordinates of a component, for error reports.
+    Returns per-component (value, error_estimate), each [rows, k]: the sums
+    that the row's last convergence test read, so ``converged`` speaks of
+    the numbers returned.  The error includes the |G - K| sums and the aux
+    error.  The third array holds the left edges of each row's final panels
+    in slot order, [slots, rows], with inf in slots a row never filled.
     """
     every = slice(None)
-    edges = np.array([[a, b]] * rows) if start is None else start
-    value, err, aux = _evaluate(f, edges, every, run)
+    if start is None or all(len(e) == len(start[0]) for e in start):
+        sizes = None  # every row starts from p panels
+        edges = np.array(start or [[a, b]] * rows)
+        live = every
+    else:
+        # each start panel is a one-panel row of its own in the first round
+        sizes = [len(e) - 1 for e in start]
+        p = max(sizes)
+        place = (
+            [s for size in sizes for s in range(p - size, p)],
+            [i for i, size in enumerate(sizes) for _ in range(size)],
+        )
+        edges = np.array([e[j : j + 2] for e in start for j in range(len(e) - 1)])
+        live = np.array(place[1])
+    value, err, aux = _evaluate(f, edges, live, run)
     ea = err if aux is None else err + aux
-    p, k = value.shape[1:]
-    # the start panels, slot-major: [value | error | right | left]
-    records = np.concatenate(
-        [value, ea, edges[:, 1:, None], edges[:, :-1, None]], 2
-    ).transpose(1, 0, 2)
+    k = value.shape[2]
+    # the start panels' [value | error | right | left], made slot-major
+    # below: records[s, i] is the panel in slot s of row i
+    records = np.concatenate([value, ea, edges[:, 1:, None], edges[:, :-1, None]], 2)
     # each row's [value | error] sums from the last test of its partition
     # (a sum of one panel would turn -0.0 into 0.0)
-    total = records[0, :, : 2 * k].copy() if p == 1 else records[..., : 2 * k].sum(0)
+    if sizes is None:
+        p = value.shape[1]
+        records = records.transpose(1, 0, 2)
+        total = records[0, :, : 2 * k].copy() if p == 1 else records[..., : 2 * k].sum(0)
+    else:
+        records, pseudo = np.full((p, rows, 2 * k + 2), -0.0), records
+        records[..., -1] = np.inf
+        records[place] = pseudo[:, 0]
+        total = records[..., : 2 * k].sum(0)
+        single = [i for i, size in enumerate(sizes) if size == 1]
+        total[single] = records[-1, single, : 2 * k]
     if not math.isfinite(total.sum()):
         _check_records(records, total, k, outer)
     done = _met(total[:, :k], total[:, k:], spec)
@@ -375,15 +395,17 @@ def _adaptive(
     # The partition, slot-major: panels[s, i] is the record of the panel in
     # slot s of row i, [value | error | right | left | priority].  A split's
     # left half keeps its panel's slot and the right half of round r takes
-    # slot r.  Unused slots have left = inf; done rows, and panels found too
-    # narrow to bisect, have priority -inf.
+    # slot r.  Unused slots have left = inf; done rows, rows out of
+    # bisections, and panels found too narrow to bisect have priority -inf.
     width = 2 * k + 3
     panels = _blank(max(8, 2 * p), rows, width)
     panels[:p, :, :-1] = records
-    priority = ea.max(2).T
+    if sizes is None:
+        panels[:p, :, -1] = ea.max(2).T
+    else:
+        panels[place + (-1,)] = ea.max(2)[:, 0]
     if converged:
-        priority[:, done] = -np.inf
-    panels[:p, :, -1] = priority
+        panels[:p, done, -1] = -np.inf
     index = np.arange(rows)
     # Bisection keeps every panel d bisections below a start panel of width
     # w at least w / 2**d - eps M wide, M = max(|a|, |b|), and a panel wider
@@ -392,9 +414,15 @@ def _adaptive(
     # bisect, and the test for one is skipped.
     w = (edges[:, 1:] - edges[:, :-1]).min()
     narrowing = p - 1 + math.log2(w / (4 * _EPS * max(abs(a), abs(b)) + 1e-300))
-    r = p - 1  # every live row has split r times, counting the start's splits
+    r = p - 1  # every live row i has split r - (p - P_i) times
 
-    while r < spec.max_subdivisions and not run.exhausted:
+    limit = spec.max_subdivisions
+    while not run.exhausted:
+        if r >= limit:
+            if sizes is None:
+                break
+            out = [i for i, size in enumerate(sizes) if r - p + size >= limit]
+            panels[:, out, -1] = -np.inf
         priority = panels[..., -1]
         worst = priority.max(0)
         # a non-finite priority stops its row; the final sums report it
@@ -433,7 +461,7 @@ def _adaptive(
         )
         records[flat] = halves[:, 0]
         panels[r, live] = halves[:, 1]
-        # a live row holds r + 1 panels: test the sums of its partition
+        # test the sums of each live row's partition (and its -0.0 pads)
         sums = total[live] = panels[: r + 1, live, : 2 * k].sum(0)
         finished = _met(sums[:, :k], sums[:, k:], spec)
         m = int(np.count_nonzero(finished))
@@ -485,10 +513,9 @@ def _iterated(
 
     A pair keeps the inner partition that each row's outer panels ended on
     and starts each row's inner integral of a split round from its split
-    panel's.  The live rows run one inner integration per start size P, in
-    ascending order, so that every row takes the bisections it would take
-    alone.  Once the budget is out, a size that has not started drops the
-    split round.
+    panel's.  The live rows run one inner integration, whose rows start from
+    partitions of different sizes and each take the bisections they would
+    take alone.
     """
 
     def leaf(coords):
@@ -517,55 +544,30 @@ def _iterated(
         # panels, keyed by (row, left edge, right edge)
         ends = {}
 
-        def inner_rows(fixed_u, u, start):
+        def f(u, live, edges):
+            fixed_u = tuple(c[live] for c in fixed)
+            ids = range(rows)[live] if isinstance(live, slice) else live.tolist()
+            e = edges.tolist()
+            seeds = None
+            if len(e[0]) == 3:  # a split round: each row's panel's partition
+                seeds = [ends.pop((i, lo, hi)) for i, (lo, _, hi) in zip(ids, e)]
+
             def fv(v, live, _):
                 return leaf(
                     tuple(c[live, None, None] for c in fixed_u)
                     + (u[live, :, None], v[:, None, :])
                 )
 
-            return _adaptive(
+            value, error, lefts = _adaptive(
                 fv, vlo, vhi, specs[0][1], run, len(u),
                 lambda r, k: _coords_of(fixed_u, r) + (float(u[r, k]),),
-                start,
+                seeds,
             )
-
-        def f(u, live, edges):
-            fixed_u = tuple(c[live] for c in fixed)
-            ids = range(rows)[live] if isinstance(live, slice) else live.tolist()
-            e = edges.tolist()
-            if len(e[0]) == 3:  # a split round: each row's panel's partition
-                seeds = [ends.pop((i, lo, hi)) for i, (lo, _, hi) in zip(ids, e)]
-            else:
-                seeds = [[vlo, vhi]] * len(ids)
-            by_size = {}
-            for j, seed in enumerate(seeds):
-                by_size.setdefault(len(seed), []).append(j)
-            results = []
-            for size in sorted(by_size):
-                if run.exhausted and run.splitting:
-                    raise _Dropped
-                js = by_size[size]
-                if len(js) == len(ids):
-                    value, error, lefts = inner_rows(fixed_u, u, np.array(seeds))
-                else:
-                    value, error, lefts = inner_rows(
-                        tuple(c[js] for c in fixed_u),
-                        u[js],
-                        np.array([seeds[j] for j in js]),
-                    )
-                results.append((js, value, error))
-                for j, partition in zip(js, np.sort(lefts, 0).T.tolist()):
-                    if partition[-1] == math.inf:  # slots the row never filled
-                        del partition[partition.index(math.inf) :]
-                    partition.append(vhi)
-                    ends.update(
-                        ((ids[j], lo, hi), partition) for lo, hi in zip(e[j], e[j][1:])
-                    )
-            if len(results) > 1:  # else the one size's arrays are the round's
-                value, error = np.empty(u.shape), np.empty(u.shape)
-                for js, v, er in results:
-                    value[js], error[js] = v, er
+            for i, row, partition in zip(ids, e, np.sort(lefts, 0).T.tolist()):
+                if partition[-1] == math.inf:  # slots the row never filled
+                    del partition[partition.index(math.inf) :]
+                partition.append(vhi)
+                ends.update(((i, lo, hi), partition) for lo, hi in zip(row, row[1:]))
             return value[:, None, :], error[:, None, :]
 
     value, error, _ = _adaptive(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from densbrackets import quadrature
+from densbrackets import geometry, quadrature
 from densbrackets.areas import (
     _PHI_BOX,
     _THETA_BOX,
@@ -345,6 +345,33 @@ def test_area_matches_the_per_point_driver(
     assert r.n_evals == n_evals
     assert r.value == pytest.approx(value, rel=1e-13)
     assert r.error_estimate == pytest.approx(error, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "flow, mode, calls",
+    [(ARCCOS_FLOW, "literal", 20), (ARCCOS_FLOW, "measure", 15), (ROTATION, "measure", 8)],
+    ids=["literal", "measure", "rotation"],
+)
+def test_a_split_round_makes_one_kernel_call(flow, mode, calls, monkeypatch):
+    # The (phi, theta) rows of a block start their split rounds from inner
+    # partitions of different sizes, and each round still makes one kernel
+    # call for all of them.
+    counted = []
+    compile_expr = geometry.compile_expr
+
+    def counting(expr, variables):
+        kernel = compile_expr(expr, variables)
+
+        def call(*coords):
+            counted.append(len(coords))
+            return kernel(*coords)
+
+        return call
+
+    monkeypatch.setattr(geometry, "compile_expr", counting)
+    r = area(_gauss_problem(mode, flow), QuadSpec(abs_tol=1e-3, rel_tol=1e-3))
+    assert r.converged
+    assert len(counted) == calls
 
 
 @pytest.mark.parametrize(

@@ -456,9 +456,10 @@ def test_4d_budget_stops_after_the_round_in_flight():
 
 
 def test_no_integral_starts_in_a_split_round_once_the_budget_is_out(monkeypatch):
-    # The (u, v) rows of a block split with seeds of several sizes.  Once the
-    # budget is out, a size still to run drops the split round instead of
-    # evaluating its start partitions, as a block still to run does.
+    # The (u, v) rows of a block split with seeds of several sizes, all in
+    # one inner integration per split round.  Once the budget is out, a
+    # block still to run drops the split round instead of evaluating its
+    # start partitions.
     late = []
     adaptive = quadrature._adaptive
 
@@ -492,8 +493,25 @@ def test_no_integral_starts_in_a_split_round_once_the_budget_is_out(monkeypatch)
 )
 def test_a_rows_numbers_do_not_depend_on_its_block(groups, monkeypatch):
     # Rows whose partitions differ on every axis, run as one block and one
-    # by one.  In some split rounds the rows' inner seeds differ in size, so
-    # the round runs one inner integration per size.
+    # by one.  In some split rounds the rows' inner seeds differ in size, and
+    # the round still runs one inner integration.
+    rounds = _block_against_rows(groups, QuadSpec(abs_tol=1e-4, rel_tol=1e-4), monkeypatch)
+    assert any(len(set(sizes)) > 1 for sizes in rounds)
+
+
+def test_a_row_out_of_bisections_stops_alone(monkeypatch):
+    # With 4 bisections per axis, some (u, v) rows start a split round with
+    # their inner axis full (5 panels), next to rows that may still bisect.
+    groups = (((0.0, 1.0),), ((0.0, 2.0), (0.5, 1.5)))
+    spec = QuadSpec(abs_tol=1e-6, rel_tol=1e-6, max_subdivisions=4)
+    rounds = _block_against_rows(groups, spec, monkeypatch)
+    assert any(sizes and max(sizes) == 5 > min(sizes) for sizes in rounds)
+
+
+def _block_against_rows(groups, spec, monkeypatch):
+    """Check five rows run as one block against each run alone, bit for bit,
+    and return the rounds of the block (see ``_spy_on_rounds``)."""
+
     def g(c, *x):
         return (
             np.sqrt(np.abs(x[-1] - c)) * np.cos(c * sum(x))
@@ -502,11 +520,11 @@ def test_a_rows_numbers_do_not_depend_on_its_block(groups, monkeypatch):
         )
 
     c = np.array([0.3, 1.1, 0.75, 1.9, 0.05])
-    specs = quadrature._specs(QuadSpec(abs_tol=1e-4, rel_tol=1e-4), groups)
+    specs = quadrature._specs(spec, groups)
     block = quadrature._Run(None)
     rounds = _spy_on_rounds(monkeypatch)
     value, error = quadrature._iterated(g, groups, specs, block, (c,), len(c))
-    assert any(len(set(sizes)) > 1 for sizes in rounds)
+    monkeypatch.undo()
     used = 0
     for i in range(len(c)):
         alone = quadrature._Run(None)
@@ -514,11 +532,12 @@ def test_a_rows_numbers_do_not_depend_on_its_block(groups, monkeypatch):
         assert (v[0], e[0]) == (value[i], error[i])
         used += alone.used
     assert block.used == used
+    return rounds
 
 
 def _spy_on_rounds(monkeypatch):
-    """Record, for every round of every axis, the start panel counts of the
-    inner integrals that the round runs."""
+    """Record, for every round of every axis, the start panel count of each
+    row of the inner integrals that the round runs."""
     rounds, stack = [], [[]]
     evaluate, adaptive = quadrature._evaluate, quadrature._adaptive
 
@@ -530,7 +549,7 @@ def _spy_on_rounds(monkeypatch):
             rounds.append(stack.pop())
 
     def adaptive_spy(f, a, b, spec, run, rows, outer, start=None):
-        stack[-1].append(1 if start is None else start.shape[-1] - 1)
+        stack[-1].extend([1] * rows if start is None else [len(e) - 1 for e in start])
         return adaptive(f, a, b, spec, run, rows, outer, start)
 
     monkeypatch.setattr(quadrature, "_evaluate", evaluate_spy)
@@ -539,13 +558,14 @@ def _spy_on_rounds(monkeypatch):
 
 
 def _spy_on_seeds(monkeypatch):
-    """Record (start panels, final panels) of every inner integral of a pair."""
+    """Record (start panels, final panels), each the most of any row, of
+    every inner integral of a pair."""
     calls = []
     adaptive = quadrature._adaptive
 
     def spy(f, a, b, spec, run, rows, outer, start=None):
         value, error, lefts = adaptive(f, a, b, spec, run, rows, outer, start)
-        p = 1 if start is None else start.shape[-1] - 1
+        p = 1 if start is None else max(len(e) - 1 for e in start)
         calls.append((p, int(np.isfinite(lefts).sum(0).max())))
         return value, error, lefts
 
