@@ -533,6 +533,51 @@ def test_evaluate_is_the_kernel_bit_for_bit():
     assert returned > 4000 and raised > 500
 
 
+# Bases whose cube and fourth power np.power rounds differently from the
+# products, then signed zeros, subnormals and bases whose powers overflow.
+POWER_BASES = (
+    -1.2866774954705678,
+    -2.8563447193452123,
+    -0.0,
+    0.0,
+    5e-324,
+    -2.5e-310,
+    -1e100,
+    1e160,
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_small_integer_powers_are_products_everywhere(n):
+    # the kernel, strict evaluation and constant folding compute u^n alike
+    e = parse(f"u^{n}")
+    kernel = compile_expr(e, ("u",))(np.array(POWER_BASES))
+    for u, k in zip(POWER_BASES, kernel.tolist()):
+        product = u * u if n == 2 else u * u * u if n == 3 else (u * u) * (u * u)
+        assert k.hex() == product.hex()
+        if not math.isfinite(product):
+            with pytest.raises(DomainError) as err:
+                evaluate(e, {"u": u})
+            assert err.value.kind == "overflow" and err.value.subexpr == e
+            continue
+        assert evaluate(e, {"u": u}).hex() == product.hex()
+        folded = simplify(BinOp("^", Const(u), Const(float(n))))
+        assert folded.value.hex() == product.hex()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_variable_exponent_goes_through_np_power():
+    x = -1.2866774954705678
+    power = float(np.power(x, 3.0))
+    assert power != x * x * x
+    e = parse("x^y")
+    kernel = compile_expr(e, ("x", "y"))
+    assert float(kernel(np.array([x]), np.array([3.0]))[0]).hex() == power.hex()
+    assert float(kernel(x, 3.0)).hex() == power.hex()
+    assert evaluate(e, {"x": x, "y": 3.0}).hex() == power.hex()
+
+
 def test_locate_domain_error_names_the_overflowing_call():
     with pytest.raises(DomainError) as err:
         locate_domain_error(parse("2*besseli0(x)"), ("x",), (713.0,))
