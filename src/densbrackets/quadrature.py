@@ -244,9 +244,10 @@ class _Dropped(Exception):
 
 # Outer points of the 3- and 4-d cases run their inner integrals in blocks
 # of this many rows.  The three Gaussian leaf-patch areas at tolerance 1e-3
-# take the same 30-40 ms in 3-d with 8, 16, 32 and 64 rows.  Through the
-# 4-d core they took the same 2.0-2.3 s with 16, 32 and 64 rows (8 rows:
-# 3.0 s), while the peak memory grew by 1.4, 2.3 and 3.3 MB.
+# take 21-22 ms in 3-d with 16, 32 and 64 rows (8 rows: 24 ms).  Through
+# the 4-d core they take 1.1 s with 16 rows, 0.9-1.0 s with 32 and 64 rows
+# and 1.5 s with 8, while the peak memory of 34 MB at 16 rows grows by 3.0
+# and 7.6 MB at 32 and 64 (one process per size, 2-core Xeon).
 _BLOCK_ROWS = 16
 
 # Integrand protocol: f(*coords) -> values that broadcast against the coords.
