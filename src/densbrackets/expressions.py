@@ -338,10 +338,10 @@ def _pow_rule(a, b):
 
 
 def _power(a, b):
-    """``a^b``.  An exponent that is a Python float, that is a constant of
-    the program (variables arrive as numpy arrays or scalars), of 2, 3 or
-    4 is taken as products: np.power costs up to 30x as much on negative
-    bases."""
+    """``a^b``, with a constant exponent of 2, 3 or 4 as products: np.power
+    costs up to 30x as much on negative bases.  Only the program's
+    constants are Python floats (variables arrive as numpy arrays or
+    scalars), so a variable exponent always goes through np.power."""
     if type(b) is float:
         if b == 2.0:
             return a * a
@@ -470,10 +470,10 @@ def evaluate(expr: Expr, bindings: Bindings) -> float:
     Runs the program :func:`compile_expr` runs, with every step checked:
     the value is the compiled kernel's bit for bit.  Variables are bound
     as numpy floats, as the kernel takes its arguments as arrays.  Bindings
-    of variables that do not occur are ignored.  Out-of-domain arguments (including
-    division by zero and overflow) raise :class:`DomainError`; an unbound
-    variable raises :class:`UnboundVariableError`.  The result is finite
-    whenever the bindings are.
+    of variables that do not occur are ignored.  Out-of-domain arguments
+    (including division by zero and overflow) raise :class:`DomainError`;
+    an unbound variable raises :class:`UnboundVariableError`.  The result
+    is finite whenever the bindings are.
     """
     program = _lower(expr, tuple(bindings))
     slots = [np.float64(v) for v in bindings.values()]

@@ -32,10 +32,10 @@ integral of a pair's outer split round.  That one starts, row by row, from
 the partition that the split panel's inner integral ended on, built over
 the same inner range for outer nodes that span both halves; the new
 integral still refines it against its own tolerance, and the P - 1
-bisections that made its P panels count against ``max_subdivisions``.
-The rows of a block may start from partitions of
-different sizes; they still run as one inner integration, one integrand
-call per round, and each row takes the bisections it would take alone.
+bisections that made its P panels count against ``max_subdivisions``.  The
+rows of a block may start from partitions of different sizes; they still
+run as one inner integration, one integrand call per round, and each row
+takes the bisections it would take alone.
 
 An evaluation budget stops the run after the round in flight.  An outer
 split round whose inner integrals have not all started is dropped, and its
