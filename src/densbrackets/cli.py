@@ -38,11 +38,13 @@ recursion limit lets the program walk it is an input error: at parse time,
 or (for a long chain of sums, products or powers that parses) when its job
 runs, which ends a table there.
 
-The ``bracket`` and ``area`` commands are built as one-row jobs by the same
-builder, which reads these keys (default in parentheses).  A key without a
-default is required, except ``expected`` and ``quad_max_evals``; a default
-takes effect only when the key is absent, so a key that is set is always
-parsed and checked:
+Every key is declared once, in the table ``_KEYS``: the kinds that read
+it, its reader, its default and the help of its flag.  The config checks,
+the job builder and the ``bracket`` and ``area`` commands read that table,
+and a command is a one-row job.  These are the keys (default in
+parentheses).  A key without a default is required, except ``expected``
+and ``quad_max_evals``; a default takes effect only when the key is
+absent, so a key that is set is always parsed and checked:
 
 * every kind: ``kind``, ``expected``, ``tol_abs`` (0), ``tol_rel`` (0),
   ``quad_abs_tol`` and ``quad_rel_tol`` (1e-10; 1e-7 for areas) and
@@ -58,12 +60,13 @@ Any other key is an input error that names the job and the key, and so
 is a ``quad_*`` value that ``QuadSpec`` refuses, such as ``quad_abs_tol =
 0`` (``r.quad_abs_tol must be positive and finite, got 0.0``).  A key
 set in ``[DEFAULT]`` reaches every job; it must be read by some kind, and
-a job whose kind does not read it ignores it.
+a job whose kind does not read it ignores it.  A job reads its keys in
+the table's order and reports the first bad one.
 
-The commands' ``--abs-tol``, ``--rel-tol``, ``--max-subdivisions`` and
-``--max-evals`` fill the ``quad_*`` keys, ``--no-normalize`` sets
-``normalize`` to false, and every other flag fills the key of its name.
-An error about a key that a flag filled names the flag.
+A command's flags are its kind's keys but ``kind``, ``expected``,
+``tol_abs`` and ``tol_rel``, in the table's order: ``--`` and the key
+without ``quad_``, with ``-`` for ``_``, except ``--no-normalize``, which
+sets ``normalize`` to false.  An error about a key names its flag.
 """
 
 from __future__ import annotations
@@ -161,6 +164,79 @@ def _emit(payload: dict[str, Any]) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+# -- jobs ----------------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a key that must be set
+
+_BRACKET, _DENSITY, _AREA = ("bracket",), ("mass", "normalize"), ("area",)
+_EVERY_KIND = _BRACKET + _DENSITY + _AREA
+
+
+def _parse_tolerance(text: str, what: str) -> float:
+    tol = _parse_number(text, what)
+    if not tol >= 0.0:
+        raise CliInputError(f"{what} must not be negative, got {tol!r}")
+    return tol
+
+
+def _parse_bool(text: str, what: str) -> bool:
+    value = configparser.RawConfigParser.BOOLEAN_STATES.get(text.lower())
+    if value is None:
+        raise CliInputError(f"invalid boolean for {what}: Not a boolean: {text}")
+    return value
+
+
+def _parse_domain(text: str, what: str):
+    return domain_by_name(text)
+
+
+def _parse_text(text: str, what: str) -> str:
+    return text
+
+
+# Every job key: the kinds that read it, its reader (text, where) -> value,
+# its default (taken only when the key is absent) and the help of its flag.
+# Jobs read their keys in this order, and the commands list their flags in it.
+_KEYS: dict[str, tuple[tuple[str, ...], Callable, Any, Any]] = {
+    "kind": (_EVERY_KIND, _parse_text, _REQUIRED, None),
+    "expected": (_EVERY_KIND, _parse_number, None, None),
+    "tol_abs": (_EVERY_KIND, _parse_tolerance, 0.0, None),
+    "tol_rel": (_EVERY_KIND, _parse_tolerance, 0.0, None),
+    "domain": (_BRACKET + _DENSITY, _parse_domain, _REQUIRED, None),
+    "tau": (_BRACKET, _parse_expr, Const(1.0), "conformal factor expression"),
+    # --rho has a help text per command
+    "rho": (_EVERY_KIND, _parse_expr, _REQUIRED,
+            {"bracket": "density expression", "area": "normalized sphere density"}),
+    "f": (_BRACKET, _parse_expr, _REQUIRED, "first function expression"),
+    "h": (_BRACKET, _parse_expr, _REQUIRED, "second function expression"),
+    "theta_map": (_AREA, _parse_expr, _REQUIRED, None),
+    "phi_map": (_AREA, _parse_expr, _REQUIRED, None),
+    "s_lo": (_AREA, _parse_number, _REQUIRED, None),
+    "s_hi": (_AREA, _parse_number, _REQUIRED, None),
+    "t_lo": (_AREA, _parse_number, _REQUIRED, None),
+    "t_hi": (_AREA, _parse_number, _REQUIRED, None),
+    "weight_mode": (_AREA, _parse_text, "measure", None),
+    # quad_<field> sets that QuadSpec field; None keeps the kind's default
+    "quad_abs_tol": (_EVERY_KIND, _parse_number, None, None),
+    "quad_rel_tol": (_EVERY_KIND, _parse_number, None, None),
+    "quad_max_subdivisions": (_EVERY_KIND, _parse_int, None, None),
+    "normalize": (_BRACKET, _parse_bool, True,
+                  "integrate the density as given instead of rescaling to mass 1"),
+    "quad_max_evals": (_AREA, _parse_int, None, None),
+}
+_KIND_KEYS = {k: tuple(key for key in _KEYS if k in _KEYS[key][0]) for k in _EVERY_KIND}
+# The keys that the commands set themselves or not at all.
+_NOT_FLAGS = ("kind", "expected", "tol_abs", "tol_rel")
+_CHOICES = {"domain": DOMAINS, "weight_mode": WEIGHT_MODES}
+
+
+def _flag(key: str) -> str:
+    """The command flag that fills ``key``."""
+    if key == "normalize":
+        return "--no-normalize"
+    return "--" + key.removeprefix("quad_").replace("_", "-")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="densbrackets",
@@ -171,37 +247,26 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     shared = {"value_flags": parser.value_flags}
-
-    b = sub.add_parser("bracket", help="Poisson bracket of two functionals", **shared)
-    b.add_argument("--domain", required=True, choices=list(DOMAINS))
-    b.add_argument("--tau", help="conformal factor expression")
-    b.add_argument("--rho", required=True, help="density expression")
-    b.add_argument("--f", required=True, help="first function expression")
-    b.add_argument("--h", required=True, help="second function expression")
-    b.add_argument("--abs-tol")
-    b.add_argument("--rel-tol")
-    b.add_argument("--max-subdivisions")
-    b.add_argument(
-        "--no-normalize",
-        dest="normalize",
-        action="store_false",
-        default=None,
-        help="integrate the density as given instead of rescaling to mass 1",
-    )
-
-    a = sub.add_parser("area", help="symplectic area of a leaf patch", **shared)
-    a.add_argument("--rho", required=True, help="normalized sphere density")
-    a.add_argument("--theta-map", required=True)
-    a.add_argument("--phi-map", required=True)
-    a.add_argument("--s-lo", required=True)
-    a.add_argument("--s-hi", required=True)
-    a.add_argument("--t-lo", required=True)
-    a.add_argument("--t-hi", required=True)
-    a.add_argument("--weight-mode", choices=list(WEIGHT_MODES))
-    a.add_argument("--abs-tol")
-    a.add_argument("--rel-tol")
-    a.add_argument("--max-subdivisions")
-    a.add_argument("--max-evals")
+    for kind, about in (
+        ("bracket", "Poisson bracket of two functionals"),
+        ("area", "symplectic area of a leaf patch"),
+    ):
+        command = sub.add_parser(kind, help=about, **shared)
+        for key in _KIND_KEYS[kind]:
+            if key in _NOT_FLAGS:
+                continue
+            _, _, default, help_text = _KEYS[key]
+            help_text = help_text[kind] if isinstance(help_text, dict) else help_text
+            flag = _flag(key)
+            if key == "normalize":  # the flag can only turn it off
+                extra = {"action": "store_const", "const": "false"}
+            elif key in _CHOICES:
+                extra = {"choices": list(_CHOICES[key])}
+            else:
+                extra = {"metavar": flag[2:].replace("-", "_").upper()}
+            command.add_argument(
+                flag, dest=key, required=default is _REQUIRED, help=help_text, **extra
+            )
 
     t = sub.add_parser(
         "table", help="run a batch config, one JSON line per job", **shared
@@ -209,44 +274,6 @@ def _build_parser() -> _Parser:
     t.add_argument("config", help="path to an INI-style job file")
 
     return parser
-
-
-# -- jobs ----------------------------------------------------------------------
-
-# The keys that every job reads, and those that only its kind reads.
-_COMMON_KEYS = {
-    "kind", "expected", "tol_abs", "tol_rel", "quad_abs_tol", "quad_rel_tol",
-    "quad_max_subdivisions",
-}
-_KIND_KEYS = {
-    "bracket": {"domain", "tau", "rho", "f", "h", "normalize"},
-    "mass": {"domain", "rho"},
-    "normalize": {"domain", "rho"},
-    "area": {
-        "rho", "theta_map", "phi_map", "s_lo", "s_hi", "t_lo", "t_hi",
-        "weight_mode", "quad_max_evals",
-    },
-}
-_JOB_KINDS = tuple(_KIND_KEYS)
-_ANY_KIND_KEYS = _COMMON_KEYS.union(*_KIND_KEYS.values())
-
-# Single-command flags (argparse dests) that fill a job key of another name.
-_FLAG_KEYS = {
-    "command": "kind",
-    "abs_tol": "quad_abs_tol",
-    "rel_tol": "quad_rel_tol",
-    "max_subdivisions": "quad_max_subdivisions",
-    "max_evals": "quad_max_evals",
-}
-_KEY_FLAGS = {key: flag for flag, key in _FLAG_KEYS.items()}
-
-# The QuadSpec fields that the key "quad_<field>" sets, and their parsers.
-_SPEC_FIELDS = (
-    ("max_evals", _parse_int),
-    ("abs_tol", _parse_number),
-    ("rel_tol", _parse_number),
-    ("max_subdivisions", _parse_int),
-)
 
 
 @dataclass(frozen=True)
@@ -259,9 +286,6 @@ class _Job:
     tol_rel: float
 
 
-_REQUIRED = object()  # the default of a key that must be set
-
-
 def _build_job(
     label: str,
     section,
@@ -270,72 +294,52 @@ def _build_job(
 ) -> _Job:
     """Parse and validate one job; ``where(key)`` names a key in messages.
 
-    ``inherited`` holds the keys that ``section`` takes from ``[DEFAULT]``;
-    they need not be read by the job's kind.
+    ``section`` maps keys to their text.  ``inherited`` holds the keys that
+    it takes from ``[DEFAULT]``; they need not be read by the job's kind.
     """
     where = where or (lambda key: f"{label}.{key}")
-
-    # convert(text, where(key)) of the key's text; the default as it is when
-    # the key is absent
-    def read(key: str, convert=lambda text, what: text, default: Any = _REQUIRED):
-        text = section.get(key)
-        if text is not None:
-            return convert(text, where(key))
-        if default is _REQUIRED:
-            raise CliInputError(f"job '{label}' is missing required key '{key}'")
-        return default
-
-    kind = read("kind")
-    if kind not in _JOB_KINDS:
+    kind = section.get("kind")
+    if kind is None:
+        raise CliInputError(f"job '{label}' is missing required key 'kind'")
+    if kind not in _KIND_KEYS:
         raise CliInputError(
-            f"job '{label}' has unknown kind {kind!r}; expected one of {_JOB_KINDS}"
+            f"job '{label}' has unknown kind {kind!r}; expected one of {_EVERY_KIND}"
         )
-    unknown = sorted(set(section) - inherited - _COMMON_KEYS - _KIND_KEYS[kind])
+    unknown = sorted(set(section) - inherited - set(_KIND_KEYS[kind]))
     if unknown:
         raise CliInputError(
             f"job '{label}' has keys that kind {kind!r} does not read: "
             + ", ".join(map(repr, unknown))
         )
-    expected = read("expected", _parse_number, None)
-    tol_abs = read("tol_abs", _parse_number, 0.0)
-    tol_rel = read("tol_rel", _parse_number, 0.0)
-    for key, tol in (("tol_abs", tol_abs), ("tol_rel", tol_rel)):
-        if not tol >= 0.0:
-            raise CliInputError(f"{where(key)} must not be negative, got {tol!r}")
     spec = QuadSpec()
     if kind == "area":
         spec = QuadSpec(abs_tol=DEFAULT_TOL, rel_tol=DEFAULT_TOL)
-    # one field at a time, so that QuadSpec's check speaks of this key
-    for field, convert in _SPEC_FIELDS:
-        key = "quad_" + field
-        value = read(key, convert, None)
-        if value is not None:
+    job = {}
+    for key in _KIND_KEYS[kind]:
+        _, parse_key, default, _ = _KEYS[key]
+        text = section.get(key)
+        if text is None and default is _REQUIRED:
+            raise CliInputError(f"job '{label}' is missing required key '{key}'")
+        job[key] = value = default if text is None else parse_key(text, where(key))
+        field = key.removeprefix("quad_")
+        if field != key and value is not None:
+            # one field at a time, so that QuadSpec's check speaks of this key
             try:
                 spec = replace(spec, **{field: value})
             except QuadratureError as exc:
                 raise CliInputError(where(key) + str(exc).removeprefix(field)) from exc
 
     if kind == "bracket":
-        try:
-            auto_normalize = section.getboolean("normalize", fallback=True)
-        except ValueError as exc:
-            raise CliInputError(f"invalid boolean for {where('normalize')}: {exc}") from exc
         problem = BracketProblem(
-            domain=domain_by_name(read("domain")),
-            tau=read("tau", _parse_expr, Const(1.0)),
-            rho=read("rho", _parse_expr),
-            f=read("f", _parse_expr),
-            h=read("h", _parse_expr),
-            auto_normalize=auto_normalize,
+            job["domain"], job["tau"], job["rho"], job["f"], job["h"], job["normalize"]
         )
         problem.validate()
 
         def run() -> dict[str, Any]:
             return asdict(bracket(problem, spec))
 
-    elif kind in ("mass", "normalize"):
-        domain = domain_by_name(read("domain"))
-        rho = read("rho", _parse_expr)
+    elif kind in _DENSITY:
+        domain, rho = job["domain"], job["rho"]
         require_domain_vars(domain, rho, "density")
 
         def run() -> dict[str, Any]:
@@ -350,14 +354,11 @@ def _build_job(
 
     else:  # area
         problem = AreaProblem(
-            rho=read("rho", _parse_expr),
-            flow=FlowMap(
-                theta_map=read("theta_map", _parse_expr),
-                phi_map=read("phi_map", _parse_expr),
-            ),
-            s_interval=(read("s_lo", _parse_number), read("s_hi", _parse_number)),
-            t_interval=(read("t_lo", _parse_number), read("t_hi", _parse_number)),
-            weight_mode=read("weight_mode", default="measure"),
+            rho=job["rho"],
+            flow=FlowMap(theta_map=job["theta_map"], phi_map=job["phi_map"]),
+            s_interval=(job["s_lo"], job["s_hi"]),
+            t_interval=(job["t_lo"], job["t_hi"]),
+            weight_mode=job["weight_mode"],
         )
         try:
             problem.validate()
@@ -370,33 +371,14 @@ def _build_job(
         def run() -> dict[str, Any]:
             return {**asdict(area(problem, spec)), "weight_mode": problem.weight_mode}
 
-    return _Job(
-        label=label,
-        kind=kind,
-        run=run,
-        expected=expected,
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-    )
+    return _Job(label, kind, run, job["expected"], job["tol_abs"], job["tol_rel"])
 
 
 def _run_command(args: argparse.Namespace) -> int:
     """Run a ``bracket`` or ``area`` command as a one-row job; emit its result."""
-    cp = configparser.RawConfigParser()
-    cp.read_dict(
-        {
-            args.command: {
-                _FLAG_KEYS.get(dest, dest): value
-                for dest, value in vars(args).items()
-                if value is not None
-            }
-        }
-    )
-    job = _build_job(
-        args.command,
-        cp[args.command],
-        lambda key: "--" + _KEY_FLAGS.get(key, key).replace("_", "-"),
-    )
+    section = {key: text for key, text in vars(args).items() if text is not None}
+    section["kind"] = section.pop("command")
+    job = _build_job(args.command, section, _flag)
     payload = job.run()
     if job.kind == "area":
         payload["area"] = payload.pop("value")
@@ -421,7 +403,7 @@ def load_jobs(path: str) -> list[_Job]:
     except configparser.Error as exc:
         raise CliInputError(f"malformed config {path!r}: {exc}") from exc
     defaults = frozenset(cp.defaults())
-    unknown = sorted(defaults - _ANY_KIND_KEYS)
+    unknown = sorted(defaults - _KEYS.keys())
     if unknown:
         raise CliInputError(
             "[DEFAULT] has keys that no job kind reads: " + ", ".join(map(repr, unknown))
@@ -467,13 +449,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "table":
             return run_table(args)
         return _run_command(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (NormalizationError, DivergentIntegralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _LIBRARY_ERRORS as exc:
+    except (CliInputError, *_LIBRARY_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:  # a tree walk on an expression nested too deeply

@@ -186,23 +186,6 @@ E = NamedConst("e")
 
 _NAMED_VALUES = {"pi": np.pi, "e": np.e}
 
-# Functions available in the surface grammar.
-FUNCTIONS = (
-    "sin",
-    "cos",
-    "tan",
-    "exp",
-    "ln",
-    "sqrt",
-    "abs",
-    "arcsin",
-    "arccos",
-    "arctan",
-    "erf",
-    "besseli0",
-)
-
-
 # -- parser -----------------------------------------------------------------
 
 # One group per token kind.  Every character that starts no token is caught
@@ -386,6 +369,8 @@ _OPS: dict[str, tuple[Callable, Callable | None]] = {
 # The parser accepts every function here: the grammar's, and those that only
 # differentiation produces (besseli1, sign), so that printed trees parse.
 _ALL_FUNCTIONS = frozenset(name for name in _OPS if name.isalnum())
+# Functions available in the surface grammar.
+FUNCTIONS = tuple(n for n in _OPS if n.isalnum() and n not in ("sign", "besseli1"))
 
 
 def _checked(node: Call | BinOp, args: tuple) -> float:
@@ -765,26 +750,6 @@ def _simplify_pass(expr: Expr, memo: _PassMemo) -> Expr:
     return out
 
 
-def _const_value(expr: Expr) -> float | None:
-    return expr.value if isinstance(expr, Const) else None
-
-
-def _is_zero(expr: Expr) -> bool:
-    return isinstance(expr, Const) and expr.value == 0.0
-
-
-def _is_one(expr: Expr) -> bool:
-    return isinstance(expr, Const) and expr.value == 1.0
-
-
-def _positive_int_exponent(expr: Expr, minimum: int = 1) -> int | None:
-    v = _const_value(expr)
-    if v is None or not v.is_integer():
-        return None
-    n = int(v)
-    return n if n >= minimum else None
-
-
 def _contains_sqrt(expr: Expr) -> bool:
     stack = [expr]
     while stack:
@@ -821,7 +786,8 @@ def _rewrite_binop(
 ) -> Expr:
     """``left op right`` after the operator rules.  ``node``, if given, is
     that operation; it is returned as is when no rule fires."""
-    lv, rv = _const_value(left), _const_value(right)
+    lv = left.value if isinstance(left, Const) else None
+    rv = right.value if isinstance(right, Const) else None
     if lv is not None and rv is not None:
         node = node or BinOp(op, left, right)
         try:
@@ -848,17 +814,20 @@ def _rewrite_binop(
         if rv == 1.0:
             return left
     elif op == "^":
-        return _rewrite_pow(left, right, node)
+        return _rewrite_pow(left, right, rv, node)
     return node or BinOp(op, left, right)
 
 
-def _rewrite_pow(base: Expr, exponent: Expr, node: BinOp | None) -> Expr:
-    if _is_one(exponent):
+def _rewrite_pow(
+    base: Expr, exponent: Expr, n: float | None, node: BinOp | None
+) -> Expr:
+    """``base ^ exponent`` after the power rules; ``n`` is the exponent's value."""
+    if n == 1.0:
         return base
-    if _is_zero(exponent):
+    if n == 0.0:
         return Const(1.0)
-    n = _positive_int_exponent(exponent, minimum=2)
-    if n is not None:
+    if n is not None and n >= 2.0 and n.is_integer():
+        n = int(n)
         # sqrt(u)^(2k) -> u^k
         if isinstance(base, Call) and base.fn == "sqrt" and n % 2 == 0:
             k = n // 2

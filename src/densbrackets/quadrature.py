@@ -611,6 +611,14 @@ def _specs(spec: QuadSpec, groups) -> list[tuple[QuadSpec, ...]]:
     return specs
 
 
+def _sized(items, counts: tuple[int, ...], rule: str) -> tuple:
+    """``items`` as a tuple, if their number is one of ``counts``."""
+    items = tuple(items)
+    if len(items) not in counts:
+        raise QuadratureError(f"{rule}, got {len(items)}")
+    return items
+
+
 def _integrate(
     f: _Integrand,
     groups: tuple[tuple[Interval, ...], ...],
@@ -619,7 +627,8 @@ def _integrate(
     """Public entry: check the intervals and run the core on ``f``."""
     checked = []
     for group in groups:
-        group = tuple((float(lo), float(hi)) for lo, hi in group)
+        pairs = (_sized(interval, (2,), "an interval has 2 ends") for interval in group)
+        group = tuple((float(lo), float(hi)) for lo, hi in pairs)
         for lo, hi in group:
             # the core bisects at 0.5 * (lo + hi) and scales by 0.5 * (hi - lo)
             if not (lo < hi and math.isfinite(hi - lo) and math.isfinite(lo + hi)):
@@ -645,7 +654,7 @@ def integrate_2d(
     with the inner tolerance tightened by a factor of 10.  The error estimate
     is the outer |G - K| sum plus the accumulated inner estimates.
     """
-    return _integrate(f, (tuple(box),), spec)
+    return _integrate(f, (_sized(box, (2,), "a 2-d box has 2 axes"),), spec)
 
 
 def integrate_4d(
@@ -668,4 +677,6 @@ def integrate_4d(
     budget (``spec.max_evals``) is shared by all levels; exhausting it yields
     the best estimate with ``converged=False``.
     """
-    return _integrate(f, (tuple(outer_box), tuple(inner_box)), spec)
+    outer_box = _sized(outer_box, (1, 2), "the outer box has 1 or 2 axes")
+    inner_box = _sized(inner_box, (2,), "the inner box has 2 axes")
+    return _integrate(f, (outer_box, inner_box), spec)

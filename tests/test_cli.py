@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densbrackets import __version__
-from densbrackets.cli import _COMMON_KEYS, _KIND_KEYS, main
+from densbrackets.cli import _KIND_KEYS, main
 from densbrackets.expressions import FUNCTIONS, parse
 from densbrackets.geometry import DOMAINS, SPHERE, normalize
 
@@ -456,6 +457,57 @@ def test_an_interval_out_of_range_names_its_flags(capsys):
     )
 
 
+# Every flag of each command, in the order that --help lists them.
+_COMMAND_FLAGS = {
+    "bracket": [
+        "--domain", "--tau", "--rho", "--f", "--h", "--abs-tol", "--rel-tol",
+        "--max-subdivisions", "--no-normalize",
+    ],
+    "area": [
+        "--rho", "--theta-map", "--phi-map", "--s-lo", "--s-hi", "--t-lo", "--t-hi",
+        "--weight-mode", "--abs-tol", "--rel-tol", "--max-subdivisions", "--max-evals",
+    ],
+}
+# The required flags of each command, with a valid value.
+_REQUIRED_FLAGS = {
+    "bracket": {"--domain": "square", "--rho": "1", "--f": "x", "--h": "y"},
+    "area": {
+        "--rho": "1", "--theta-map": "theta", "--phi-map": "phi + t",
+        "--s-lo": "pi/4", "--s-hi": "3*pi/4", "--t-lo": "pi/4", "--t-hi": "3*pi/4",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+def test_each_command_lists_its_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    flags = re.findall(r"^  (--[a-z-]+)", text, re.MULTILINE)
+    assert flags == _COMMAND_FLAGS[command]
+    # the usage line brackets the optional flags
+    required = [flag for flag in flags if f"[{flag}" not in text]
+    assert required == list(_REQUIRED_FLAGS[command])
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (command, flag)
+        for command, flags in _COMMAND_FLAGS.items()
+        for flag in flags
+        if flag != "--no-normalize"  # takes no value
+    ],
+)
+def test_a_bad_flag_value_names_its_flag(capsys, command, flag):
+    argv = {**_REQUIRED_FLAGS[command], flag: "("}
+    code, out, err = run_cli(capsys, command, *(a for item in argv.items() for a in item))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert re.search(re.escape(flag) + r"(?![\w-])", err), err
+
+
 def test_huge_absolute_tolerance_of_a_reduced_area_runs(capsys):
     # the reduced path divides --abs-tol by |I2| = 0.5: 2e308 would overflow
     code, out, err = run_cli(
@@ -672,11 +724,7 @@ _VALID_ROWS = {
 
 @pytest.mark.parametrize(
     "kind, key",
-    [
-        (kind, key)
-        for kind in _KIND_KEYS
-        for key in sorted((_COMMON_KEYS | _KIND_KEYS[kind]) - {"kind"})
-    ],
+    [(kind, key) for kind, keys in _KIND_KEYS.items() for key in keys if key != "kind"],
 )
 def test_every_listed_key_is_read_by_its_kind(tmp_path, capsys, kind, key):
     # a listed key that the builder never read would leave "(" unnoticed

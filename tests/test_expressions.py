@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densbrackets.expressions import (
+    FUNCTIONS,
     BinOp,
     Call,
     Const,
@@ -95,6 +96,17 @@ def test_parse_errors_carry_position(text, pos):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.position == pos
+
+
+def test_the_grammar_has_every_function_but_the_derivative_only_ones():
+    # FUNCTIONS is derived from the operator table; sign and besseli1 parse
+    # but come only out of diff
+    assert FUNCTIONS == (
+        "sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "arcsin", "arccos",
+        "arctan", "erf", "besseli0",
+    )
+    for name in FUNCTIONS + ("sign", "besseli1"):
+        assert parse(f"{name}(x)") == Call(name, Var("x"))
 
 
 def test_unary_minus_is_zero_minus():

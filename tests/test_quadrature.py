@@ -144,6 +144,35 @@ def test_invalid_interval_rejected(interval):
             integrate_4d(one, ((0.0, 1.0), (0.0, 1.0)), box)
 
 
+_UNIT, _TRIPLE = (0.0, 1.0), (0.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "entry, boxes, message",
+    [
+        # a box of the wrong number of axes
+        (integrate_2d, [()], "a 2-d box has 2 axes, got 0"),
+        (integrate_2d, [(_UNIT,)], "a 2-d box has 2 axes, got 1"),
+        (integrate_2d, [(_UNIT,) * 3], "a 2-d box has 2 axes, got 3"),
+        (integrate_4d, [(), (_UNIT,) * 2], "the outer box has 1 or 2 axes, got 0"),
+        (integrate_4d, [(_UNIT,) * 3, (_UNIT,) * 2], "the outer box has 1 or 2 axes, got 3"),
+        (integrate_4d, [(_UNIT,) * 2, ()], "the inner box has 2 axes, got 0"),
+        (integrate_4d, [(_UNIT,) * 2, (_UNIT,)], "the inner box has 2 axes, got 1"),
+        (integrate_4d, [(_UNIT,), (_UNIT,) * 3], "the inner box has 2 axes, got 3"),
+        # an interval that is not a pair
+        (integrate_2d, [(_TRIPLE, _UNIT)], "an interval has 2 ends, got 3"),
+        (integrate_2d, [(_UNIT, (0.0,))], "an interval has 2 ends, got 1"),
+        (integrate_4d, [(_TRIPLE,), (_UNIT,) * 2], "an interval has 2 ends, got 3"),
+        (integrate_4d, [(_UNIT,) * 2, (_UNIT, _TRIPLE)], "an interval has 2 ends, got 3"),
+    ],
+)
+def test_a_box_of_the_wrong_shape_is_rejected(entry, boxes, message):
+    # unchecked, a one-axis box would give a lower-dimensional integral
+    # without a word
+    with pytest.raises(QuadratureError, match=message):
+        entry(lambda *coords: 1.0, *boxes)
+
+
 def test_spec_validation():
     with pytest.raises(QuadratureError):
         QuadSpec(abs_tol=0.0)
