@@ -218,16 +218,15 @@ def area(problem: AreaProblem, spec: QuadSpec | None = None) -> QuadResult:
 
     The outer adaptive integration runs over (s, t); each outer point
     triggers an inner 2-d integration over the sphere, with theta innermost.
-    Each axis runs at 10x tighter tolerance than the one outside it: the
-    tolerance of ``spec`` on s, then /10 on t, /100 on phi and /1000 on
-    theta.  When the inner integral does not depend on t (see
-    :func:`_t_invariant`), the outer integration runs over s alone with t at
-    the midpoint of I2, so phi and theta run at /10 and /100, and the result
-    is multiplied by ``|I2|``; the absolute tolerance is divided by ``|I2|``
-    so that it still holds on the 4-d scale, and kept between the smallest
-    and the largest positive double.  A non-converged result
-    (tolerance or budget exhausted) is returned with ``converged=False``
-    rather than raised.
+    The tolerance of ``spec`` holds on s, then /10 on t, /30 on phi and /300
+    on theta: 10x tighter within a pair of axes, 3x from t to phi.  When the
+    inner integral does not depend on t (see :func:`_t_invariant`), the
+    outer integration runs over s alone with t at the midpoint of I2, so phi
+    and theta run at /3 and /30, and the result is multiplied by ``|I2|``;
+    the absolute tolerance is divided by ``|I2|`` so that it still holds on
+    the 4-d scale, and kept between the smallest and the largest positive
+    double.  A non-converged result (tolerance or budget exhausted) is
+    returned with ``converged=False`` rather than raised.
     """
     problem.validate()
     spec = _default_spec(spec)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -164,12 +165,24 @@ _UNIT, _TRIPLE = (0.0, 1.0), (0.0, 0.5, 1.0)
         (integrate_2d, [(_UNIT, (0.0,))], "an interval has 2 ends, got 1"),
         (integrate_4d, [(_TRIPLE,), (_UNIT,) * 2], "an interval has 2 ends, got 3"),
         (integrate_4d, [(_UNIT,) * 2, (_UNIT, _TRIPLE)], "an interval has 2 ends, got 3"),
+        # a box or an interval that is not a sequence
+        (integrate_2d, [5], "a 2-d box has 2 axes, got 5, which is not a sequence"),
+        (integrate_2d, [(3, _UNIT)], "an interval has 2 ends, got 3, which is not a sequence"),
+        (integrate_4d, [7, (_UNIT,) * 2], "the outer box has 1 or 2 axes, got 7, which is not a sequence"),
+        (integrate_4d, [(_UNIT,), 7], "the inner box has 2 axes, got 7, which is not a sequence"),
+        (integrate_4d, [(_UNIT,), (_UNIT, None)], "an interval has 2 ends, got None, which is not a sequence"),
+        # an end that is not a number
+        (integrate_2d, [(_UNIT, (0, "a"))], "the ends of an interval are numbers, got (0, 'a')"),
+        (integrate_2d, [(_UNIT, (0, None))], "the ends of an interval are numbers, got (0, None)"),
+        (integrate_4d, [((None, 1.0),), (_UNIT,) * 2], "the ends of an interval are numbers, got (None, 1.0)"),
+        (integrate_4d, [(_UNIT,), (_UNIT, (0.0, 1j))], "the ends of an interval are numbers, got (0.0, 1j)"),
     ],
 )
 def test_a_box_of_the_wrong_shape_is_rejected(entry, boxes, message):
     # unchecked, a one-axis box would give a lower-dimensional integral
-    # without a word
-    with pytest.raises(QuadratureError, match=message):
+    # without a word, and a box that is not a sequence of pairs of numbers
+    # would end in a bare TypeError or ValueError
+    with pytest.raises(QuadratureError, match=re.escape(message)):
         entry(lambda *coords: 1.0, *boxes)
 
 
@@ -195,14 +208,15 @@ def test_tightened_tolerances_stop_at_the_smallest_double():
 @pytest.mark.parametrize(
     "outer, expected",
     [
-        # each nested axis is 10x tighter than the axis outside it
+        # the inner axis of a pair is 10x tighter than its outer axis, and
+        # the inner pair 3x tighter than the last axis outside it
         ((), (1e-3, 1e-3 / 10)),
-        (((0.0, 3.0),), (1e-3, 1e-3 / 10, 1e-3 / 10 / 10)),
-        (((0.0, 3.0), (0.0, 4.0)), (1e-3, 1e-3 / 10, 1e-3 / 100, 1e-3 / 100 / 10)),
+        (((0.0, 3.0),), (1e-3, 1e-3 / 3, 1e-3 / 3 / 10)),
+        (((0.0, 3.0), (0.0, 4.0)), (1e-3, 1e-3 / 10, 1e-3 / 10 / 3, 1e-3 / 10 / 3 / 10)),
     ],
     ids=["2-d", "3-d", "4-d"],
 )
-def test_each_nested_axis_is_10x_tighter(monkeypatch, outer, expected):
+def test_a_pair_tightens_10x_and_a_nested_group_3x(monkeypatch, outer, expected):
     tolerances = {}
     adaptive = quadrature._adaptive
 
