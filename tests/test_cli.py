@@ -672,7 +672,7 @@ def test_own_key_that_overrides_a_default_is_checked_against_the_kind(tmp_path, 
         (
             "[r]\nkind = area\nrho = 1\ntheta_map = theta\nphi_map = phi + t\n"
             "s_lo = 1\ns_hi = 2\nt_lo = 1\nt_hi = 2\nquad_max_evals = 3\n",
-            "r.quad_max_evals must allow at least one panel (15 evaluations), got 3",
+            "r.quad_max_evals must allow at least one G7/K15 panel (15 evaluations), got 3",
         ),
         (
             "[r]\nkind = bracket\ndomain = square\nrho = 1\nf = x\nh = z\n",

@@ -160,8 +160,8 @@ def test_gaussian_sphere_mass_constant():
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="the 15 nodes of the first phi panel miss all four 0.01-wide peaks, "
-    "so G7 = K15 there and the mass converges to 5.1e-69 after 690 evaluations",
+    reason="the 21 nodes of the first phi panel miss all four 0.01-wide peaks, "
+    "so G10 = K21 there and the mass converges to 1.9e-40 after 462 evaluations",
 )
 def test_narrow_peaks_between_first_panel_nodes_are_resolved():
     r = density_mass(SPHERE, parse("exp(-1e4*sin(2*phi+0.3)^2)"))

@@ -1,4 +1,5 @@
-"""Adaptive G7/K15 quadrature: rule exactness, adaptivity, determinism."""
+"""Adaptive Gauss-Kronrod quadrature: rule exactness, adaptivity,
+determinism."""
 
 from __future__ import annotations
 
@@ -13,9 +14,9 @@ import pytest
 from densbrackets import quadrature
 from densbrackets.quadrature import (
     _BLOCK_ROWS,
-    _G7_WEIGHTS_EMBEDDED,
-    _GK_NODES,
-    _K15_WEIGHTS,
+    _GK15,
+    _GK21,
+    _RULES,
     DivergentIntegralError,
     NonFiniteIntegrandError,
     QuadSpec,
@@ -35,12 +36,23 @@ from oracles import (
 # -- the rule itself -----------------------------------------------------------
 
 
-def test_rule_nodes_are_interior_and_symmetric():
-    nodes, wk, wg = _GK_NODES, _K15_WEIGHTS, _G7_WEIGHTS_EMBEDDED
-    assert nodes.shape == (15,)
+# each pair with the degrees to which its Gauss and Kronrod parts are exact
+_PAIRS = pytest.mark.parametrize(
+    "rule, gauss_degree, kronrod_degree",
+    [(_GK15, 13, 23), (_GK21, 19, 31)],
+    ids=["G7/K15", "G10/K21"],
+)
+
+
+@_PAIRS
+def test_rule_nodes_are_interior_and_symmetric(rule, gauss_degree, kronrod_degree):
+    nodes, wk, wg = rule
+    assert nodes.shape == wk.shape == wg.shape == (gauss_degree + 2,)
     assert np.all(nodes > -1.0) and np.all(nodes < 1.0)
+    assert np.all(np.diff(nodes) > 0)
     np.testing.assert_allclose(nodes, -nodes[::-1], atol=0)
     np.testing.assert_allclose(wk, wk[::-1], atol=0)
+    np.testing.assert_allclose(wg, wg[::-1], atol=0)
     assert np.all(wk > 0)
     # embedded Gauss weights live at the odd positions
     assert np.all(wg[0::2] == 0.0) and np.all(wg[1::2] > 0.0)
@@ -48,29 +60,19 @@ def test_rule_nodes_are_interior_and_symmetric():
     assert sum(wg) == pytest.approx(2.0, abs=1e-15)
 
 
-def test_gauss_part_exact_to_degree_13():
-    rng = random.Random(5)
-    for _ in range(20):
-        coeffs = [rng.uniform(-2, 2) for _ in range(14)]  # degree 13
-
-        def poly(x):
-            return sum(c * x**k for k, c in enumerate(coeffs))
-
-        exact = sum(
-            c * (1 - (-1) ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs)
-        )
-        # one panel on [-1, 1]: half-width 1, midpoint 0
-        values = poly(_GK_NODES)
-        g, k = values @ _G7_WEIGHTS_EMBEDDED, values @ _K15_WEIGHTS
-        assert abs(g - exact) <= 1e-13 * (1 + abs(exact))
-        assert abs(k - exact) <= 1e-13 * (1 + abs(exact))
-
-
-def test_kronrod_part_exact_to_degree_22():
-    for p in range(23):
-        exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
-        k = _GK_NODES**p @ _K15_WEIGHTS
-        assert abs(k - exact) <= 1e-13
+@_PAIRS
+def test_both_parts_are_exact_on_monomials_to_their_degree(
+    rule, gauss_degree, kronrod_degree
+):
+    # one panel on [-1, 1]: half-width 1, midpoint 0
+    nodes, wk, wg = rule
+    for weights, degree in ((wg, gauss_degree), (wk, kronrod_degree)):
+        for p in range(degree + 1):
+            exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+            assert abs(nodes**p @ weights - exact) <= 1e-13
+    # one degree more is beyond the Gauss part
+    p = gauss_degree + 1
+    assert abs(nodes**p @ wg - 2.0 / (p + 1)) > 1e-6
 
 
 # -- 1-d examples ---------------------------------------------------------------
@@ -176,6 +178,14 @@ _UNIT, _TRIPLE = (0.0, 1.0), (0.0, 0.5, 1.0)
         (integrate_2d, [(_UNIT, (0, None))], "the ends of an interval are numbers, got (0, None)"),
         (integrate_4d, [((None, 1.0),), (_UNIT,) * 2], "the ends of an interval are numbers, got (None, 1.0)"),
         (integrate_4d, [(_UNIT,), (_UNIT, (0.0, 1j))], "the ends of an interval are numbers, got (0.0, 1j)"),
+        # text, which float() and tuple() would read as numbers or as pairs
+        (integrate_2d, ["ab"], "a 2-d box has 2 axes, got 'ab', which is text"),
+        (integrate_2d, [("01", _UNIT)], "an interval has 2 ends, got '01', which is text"),
+        (integrate_2d, [((0, "1e0"), _UNIT)], "the ends of an interval are numbers, got (0, '1e0')"),
+        (integrate_2d, [(_UNIT, (b"0", 1))], "the ends of an interval are numbers, got (b'0', 1)"),
+        (integrate_4d, [b"0", (_UNIT,) * 2], "the outer box has 1 or 2 axes, got b'0', which is text"),
+        (integrate_4d, [(_UNIT,), "uv"], "the inner box has 2 axes, got 'uv', which is text"),
+        (integrate_4d, [(_UNIT,), (_UNIT, bytearray(b"01"))], "an interval has 2 ends, got bytearray(b'01'), which is text"),
     ],
 )
 def test_a_box_of_the_wrong_shape_is_rejected(entry, boxes, message):
@@ -389,14 +399,39 @@ def test_converged_result_is_the_one_its_tolerance_test_read():
 
 def test_panels_too_narrow_to_bisect_stop_the_row():
     # Every panel is bisected down to one ulp; then no panel is splittable
-    # and the loop ends long before max_subdivisions.
+    # and the loop ends long before max_subdivisions: the first panel and
+    # 63 bisections of n nodes per panel.
+    n = len(_RULES[1].nodes)
     tiny = QuadSpec(abs_tol=5e-324, rel_tol=5e-324)
     r = integrate_1d(lambda x: np.sin(1e17 * x), 1.0, 1.0 + 64 * math.ulp(1.0), tiny)
     assert not r.converged
-    assert r.n_evals == 15 + 63 * 30
+    assert r.n_evals == n + 63 * 2 * n
 
 
 # -- 2-d ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "run, first_call",
+    [
+        (lambda f: integrate_2d(f, ((0, 1), (0, 2))), (1, 21, 21)),
+        (lambda f: integrate_4d(f, ((0, 3),), ((0, 1), (0, 2))), (15, 15, 15)),
+        (lambda f: integrate_4d(f, ((0, 3), (0, 4)), ((0, 1), (0, 2))), (_BLOCK_ROWS, 15, 15)),
+    ],
+    ids=["2-d", "3-d", "4-d"],
+)
+def test_a_2d_integral_runs_g10_k21_and_a_nested_one_g7_k15(run, first_call):
+    # The first kernel call of a 2-d integral is the 21 x 21 grid of its
+    # first panel.  That of a 3-d one has the 15 s-nodes as rows and 15 x 15
+    # (u, v) points each; that of a 4-d one the first block of (s, t) nodes.
+    shapes = []
+
+    def f(*coords):
+        shapes.append(np.broadcast(*coords).shape)
+        return 1.0
+
+    run(f)
+    assert shapes[0] == first_call
 
 
 def test_2d_unit_box():
@@ -411,14 +446,19 @@ def test_2d_square_bracket_integrand():
 
 
 def test_2d_torus_bessel_mass():
-    # The inner integral of each outer split round starts from the inner
-    # partition of the split panel: 10680 evaluations, where starting from
-    # one panel took 17430.
+    # The outer axis splits its first panel once.  Each of the first panel's
+    # n inner integrals bisects its first panel 3 times, to 4 panels; the
+    # split round's 2n inner integrals start from those 4 panels and meet
+    # the tolerance on them, where starting from one panel would repeat the
+    # 3 bisections.  Every outer node adds its inner result.
+    n = len(_RULES[1].nodes)
+    first = n * (n + 3 * 2 * n) + n
+    split = 2 * n * 4 * n + 2 * n
     spec = QuadSpec()
     f = lambda U, V: np.exp(np.cos(U) + np.cos(V))
     r = integrate_2d(f, ((0, 2 * math.pi), (0, 2 * math.pi)), spec)
     exact = 4 * math.pi**2 * I0_AT_1_SQUARED
-    assert r.converged and r.n_evals == 10680
+    assert r.converged and r.n_evals == first + split
     assert abs(r.value - exact) <= max(spec.abs_tol, spec.rel_tol * exact)
 
 
@@ -564,13 +604,13 @@ def _block_against_rows(groups, spec, monkeypatch):
 
     c = np.array([0.3, 1.1, 0.75, 1.9, 0.05])
     specs = quadrature._specs(spec, groups)
-    block = quadrature._Run(None)
+    block = quadrature._Run(None, _RULES[len(groups)])
     rounds = _spy_on_rounds(monkeypatch)
     value, error = quadrature._iterated(g, groups, specs, block, (c,), len(c))
     monkeypatch.undo()
     used = 0
     for i in range(len(c)):
-        alone = quadrature._Run(None)
+        alone = quadrature._Run(None, _RULES[len(groups)])
         v, e = quadrature._iterated(g, groups, specs, alone, (c[i : i + 1],), 1)
         assert (v[0], e[0]) == (value[i], error[i])
         used += alone.used
@@ -634,6 +674,7 @@ def test_seed_panels_too_narrow_to_bisect_stop_the_row(monkeypatch):
     # later one starts from them, finds each too narrow to bisect and
     # evaluates nothing more.  The outer axis splits max_subdivisions times.
     calls = _spy_on_seeds(monkeypatch)
+    n = len(_RULES[1].nodes)
     tiny = QuadSpec(abs_tol=5e-324, rel_tol=5e-324, max_subdivisions=64)
     r = integrate_2d(
         lambda u, v: np.sin(1e17 * v) + 0.0 * u,
@@ -644,6 +685,7 @@ def test_seed_panels_too_narrow_to_bisect_stop_the_row(monkeypatch):
     inner = calls[:-1]  # the outer integral returns last
     assert inner == [(1, 64)] + [(64, 64)] * 64
     # the first outer panel: the inner first panel and 63 bisections at its
-    # 15 nodes, and its 15 inner results
-    first = 15 * 15 + 63 * 15 * 30 + 15
-    assert r.n_evals == first + 64 * (64 * 15 * 30 + 30)
+    # n nodes, and its n inner results; then each outer bisection evaluates
+    # 64 inner panels at each of its 2n nodes, and its 2n inner results
+    first = n * n + 63 * n * 2 * n + n
+    assert r.n_evals == first + 64 * (64 * n * 2 * n + 2 * n)
