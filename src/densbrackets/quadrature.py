@@ -41,6 +41,17 @@ rows of a block may start from partitions of different sizes; they still
 run as one inner integration, one integrand call per round, and each row
 takes the bisections it would take alone.
 
+Each round of a pair is one tensor step: one integrand call on the outer
+nodes times each row's inner start partition (the one inner panel in the
+first round, the seeded partition in a split round).  The inner sums are
+taken from that grid, and in the first round the outer sums too, with the
+same products in the same slot order as every other round.  A row whose
+sums meet its tolerance on its start partition returns them and never
+enters the bisection loop (``_adaptive``); only the rows that missed it
+build panel records and bisect, from the sums already tested, so no value
+is computed twice.  A 2-d integral whose first panel meets both
+tolerances makes one integrand call, on a 21 x 21 grid.
+
 An evaluation budget stops the run after the round in flight.  An outer
 split round whose inner integrals have not all started is dropped, and its
 level keeps the estimate it had: once the budget is out, no further block
@@ -60,6 +71,7 @@ sum that is not finite although every value was raises
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -244,6 +256,9 @@ class QuadSpec:
         )
 
 
+_DEFAULT_SPEC = QuadSpec()
+
+
 @dataclass(frozen=True)
 class QuadResult:
     value: float
@@ -333,31 +348,62 @@ _RowIntegrand = Callable[
 ]
 
 
-def _evaluate(
-    f: _RowIntegrand, edges: np.ndarray, live, run: _Run
+def _nodes(edges: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rule's ``nodes`` on the panels between consecutive ``edges``
+    [rows, h + 1], [rows, h * n], and the panels' half-widths [rows, h, 1]."""
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    half = 0.5 * (hi - lo)
+    x = np.multiply.outer(half, nodes) + (0.5 * (lo + hi))[..., None]
+    return x.reshape(len(x), -1), half[..., None]
+
+
+def _panel(a: float, b: float, rows: int, nodes: np.ndarray):
+    """``_nodes`` of the one panel [a, b] of each of ``rows`` rows, computed
+    once: (edges [rows, 2], nodes [rows, n], half-width)."""
+    half = 0.5 * (b - a)
+    x = half * nodes + 0.5 * (a + b)
+    return np.array([[a, b]] * rows), x[None].repeat(rows, 0), half
+
+
+def _sums(
+    values: np.ndarray, aux: np.ndarray | None, half: np.ndarray, rule: _Rule
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The run's Gauss-Kronrod pair on the panels between consecutive
-    ``edges`` [rows, h + 1] of the live rows, with a single f call.
+    """The Gauss-Kronrod pair ``rule`` on panels of half-widths ``half``
+    ([rows, h, 1], or one for all), from ``values`` [rows, k, h * n] at their
+    nodes.
 
     Returns (value, |G - K|, aux error), each [rows, h, k]; the aux error is
     None without inner integrals.  Each row and panel gets its own
     matrix-vector product over the row's k components, the same BLAS call a
     one-row driver makes, so a row's sums do not depend on the other rows.
     """
-    nodes, kronrod, gauss = run.rule
-    lo, hi = edges[:, :-1], edges[:, 1:]
-    half = 0.5 * (hi - lo)
-    x = np.multiply.outer(half, nodes) + (0.5 * (lo + hi))[..., None]
-    values, aux = f(x.reshape(len(x), -1), live, edges)
-    run.used += values.size
-    shape = values.shape[:2] + (lo.shape[1], len(nodes))
-    half = half[..., None]
+    _, kronrod, gauss = rule
+    shape = values.shape[:2] + (-1, len(kronrod))
     chunks = values.reshape(shape).transpose(0, 2, 1, 3)
     value = half * (chunks @ kronrod)
     err = np.abs(value - half * (chunks @ gauss))
     if aux is not None:
         aux = half * (np.abs(aux).reshape(shape).transpose(0, 2, 1, 3) @ kronrod)
     return value, err, aux
+
+
+def _evaluate(
+    f: _RowIntegrand, edges: np.ndarray, live, run: _Run
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The run's pair on the panels between consecutive ``edges``
+    [rows, h + 1] of the live rows, with a single f call (see ``_sums``)."""
+    x, half = _nodes(edges, run.rule.nodes)
+    values, aux = f(x, live, edges)
+    run.used += values.size
+    return _sums(values, aux, half, run.rule)
+
+
+def _records(value: np.ndarray, ea: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The [value | error | right | left] records of panels [rows, h, k],
+    slot-major: records[s, i] is panel s of row i."""
+    return np.concatenate(
+        [value, ea, edges[:, 1:, None], edges[:, :-1, None]], 2
+    ).transpose(1, 0, 2)
 
 
 def _check_records(panels, sums, k, outer) -> None:
@@ -386,7 +432,7 @@ def _met(value: np.ndarray, error: np.ndarray, spec: QuadSpec) -> np.ndarray:
     return ok[:, 0] if ok.shape[1] == 1 else ok.all(1)
 
 
-def _adaptive(
+def _start(
     f: _RowIntegrand,
     a: float,
     b: float,
@@ -395,73 +441,175 @@ def _adaptive(
     rows: int,
     outer: Callable[[int, int], tuple[float, ...]],
     start: list[list[float]] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Globally adaptive integration over (a, b) of ``rows`` independent
     integrations, advanced in lockstep with one ``f`` call per round.
 
     Row i starts from the P_i panels between its edges ``start[i]`` (each
     from ``a`` to ``b``; the sizes may differ), or from the one panel [a, b]
-    without ``start``.  The first round evaluates every start panel, and
-    counts as P_i - 1 bisections against ``max_subdivisions``, so a row
-    never holds more than ``max_subdivisions + 1`` panels.  Every later
-    round, each unconverged row bisects its worst splittable panel (largest
-    error, the leftmost on ties).  Each row takes the slots, sums and
-    evaluations it would take alone: with P = max P_i, row i's start panels
-    take slots P - P_i .. P - 1, left to right, and value and error -0.0 in
-    the slots before them, which add nothing to its sums (x + -0.0 == x).  A
-    budget that runs out stops the loop after the round in flight, whose
-    first round evaluates every start panel of every row.  After each round,
-    a row whose panel sums meet the tolerance is done; no running total is
-    kept, so that one huge panel cannot absorb the others.  ``outer(row,
-    k)`` gives the outer coordinates of a component, for error reports.
+    without ``start``.  The first round evaluates every start panel of every
+    row in one call; ``_settle`` tests it and bisects the rows that missed
+    their tolerance.  ``outer(row, k)`` gives the outer coordinates of a
+    component, for error reports.  Returns what ``_settle`` returns.
+    """
+    place, live = None, slice(None)
+    if start is None:
+        edges, x, half = _panel(a, b, rows, run.rule.nodes)
+    else:
+        if all(len(e) == len(start[0]) for e in start):
+            edges = np.array(start)  # every row starts from p panels
+        else:
+            # each start panel is a one-panel row of its own in the first
+            # round, and takes the (slot, row) ``place`` in the records
+            sizes = [len(e) - 1 for e in start]
+            p = max(sizes)
+            place = (
+                [s for size in sizes for s in range(p - size, p)],
+                [i for i, size in enumerate(sizes) for _ in range(size)],
+            )
+            edges = np.array([e[j : j + 2] for e in start for j in range(len(e) - 1)])
+            live = np.array(place[1])
+        x, half = _nodes(edges, run.rule.nodes)
+    values, aux = f(x, live, edges)
+    run.used += values.size
+    value, err, aux = _sums(values, aux, half, run.rule)
+    ea = err if aux is None else err + aux
+    return _settle(f, a, b, spec, run, outer, start, edges, place, value, ea)
+
+
+def _settle(
+    f: _RowIntegrand,
+    a: float,
+    b: float,
+    spec: QuadSpec,
+    run: _Run,
+    outer: Callable[[int, int], tuple[float, ...]],
+    start: list[list[float]] | None,
+    edges: np.ndarray,
+    place: tuple[list[int], list[int]] | None,
+    value: np.ndarray,
+    ea: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The first convergence test of integrals over (a, b), then the
+    bisection, in ``_adaptive``, of the rows that missed their tolerance.
+
+    (value, ea) are the value and error (|G - K| plus aux error) of the start
+    panels between ``edges``, laid out as ``_start`` lays them out: [rows, p,
+    k] if every row starts from p panels (``place`` is None), else one
+    panel of ``start`` per row, [panels, 1, k], at the (slot, row) ``place``.
+    Each row's sums are those of its start panels in slot order; with P =
+    max P_i, row i's start panels take slots P - P_i .. P - 1, and value and
+    error -0.0 in the slots before them, which add nothing to its sums (x +
+    -0.0 == x).  A row whose sums meet the tolerance is done; so is every
+    row once the budget is out.
+
     Returns per-component (value, error_estimate), each [rows, k]: the sums
     that the row's last convergence test read, so ``converged`` speaks of
-    the numbers returned.  The error includes the |G - K| sums and the aux
-    error.  The third array holds the left edges of each row's final panels
-    in slot order, [slots, rows], with inf in slots a row never filled.
+    the numbers returned.  The third is None if every row ended on its start
+    partition; else it holds the left edges of each row's final panels in
+    slot order, [slots, rows], with inf in slots a row never filled.
     """
-    every = slice(None)
-    if start is None or all(len(e) == len(start[0]) for e in start):
-        sizes = None  # every row starts from p panels
-        edges = np.array(start or [[a, b]] * rows)
-        live = every
-    else:
-        # each start panel is a one-panel row of its own in the first round
-        sizes = [len(e) - 1 for e in start]
-        p = max(sizes)
-        place = (
-            [s for size in sizes for s in range(p - size, p)],
-            [i for i, size in enumerate(sizes) for _ in range(size)],
-        )
-        edges = np.array([e[j : j + 2] for e in start for j in range(len(e) - 1)])
-        live = np.array(place[1])
-    value, err, aux = _evaluate(f, edges, live, run)
-    ea = err if aux is None else err + aux
     k = value.shape[2]
-    # the start panels' [value | error | right | left], made slot-major
-    # below: records[s, i] is the panel in slot s of row i
-    records = np.concatenate([value, ea, edges[:, 1:, None], edges[:, :-1, None]], 2)
-    # each row's [value | error] sums from the last test of its partition
-    # (a sum of one panel would turn -0.0 into 0.0)
-    if sizes is None:
-        p = value.shape[1]
-        records = records.transpose(1, 0, 2)
-        total = records[0, :, : 2 * k].copy() if p == 1 else records[..., : 2 * k].sum(0)
+    sizes = None if place is None else [len(e) - 1 for e in start]
+    if place is None and value.shape[1] == 1:
+        # one start panel per row, whose numbers are its sums; a value that
+        # is not finite makes its error not finite
+        records = None
+        tv, te = value[:, 0], ea[:, 0]
+        if not math.isfinite(te.sum()):
+            _check_records(_records(value, ea, edges), np.hstack([tv, te]), k, outer)
     else:
-        records, pseudo = np.full((p, rows, 2 * k + 2), -0.0), records
-        records[..., -1] = np.inf
-        records[place] = pseudo[:, 0]
-        total = records[..., : 2 * k].sum(0)
-        single = [i for i, size in enumerate(sizes) if size == 1]
-        total[single] = records[-1, single, : 2 * k]
-    if not math.isfinite(total.sum()):
-        _check_records(records, total, k, outer)
-    done = _met(total[:, :k], total[:, k:], spec)
+        records = _records(value, ea, edges)
+        if sizes is None:
+            total = records[..., : 2 * k].sum(0)
+        else:
+            records, pseudo = np.full((max(sizes), len(sizes), 2 * k + 2), -0.0), records
+            records[..., -1] = np.inf
+            records[place] = pseudo[0]
+            total = records[..., : 2 * k].sum(0)
+            # (a sum of one panel would turn -0.0 into 0.0)
+            single = [i for i, size in enumerate(sizes) if size == 1]
+            total[single] = records[-1, single, : 2 * k]
+        if not math.isfinite(total.sum()):
+            _check_records(records, total, k, outer)
+        tv, te = total[:, :k], total[:, k:]
+    done = _met(tv, te, spec)
+    rows = len(done)
     converged = int(np.count_nonzero(done))
     if converged == rows or run.exhausted:
         run.converged = run.converged and converged == rows
-        return total[:, :k], total[:, k:], records[..., -1]
+        return tv, te, None
 
+    # Only the rows that missed their tolerance bisect, from the sums just
+    # tested; each takes the slots, sums and evaluations it would take alone.
+    sub = np.flatnonzero(~done) if converged else slice(None)
+    if records is None:
+        starts = edges[:, :-1].T
+        records = _records(value[sub], ea[sub], edges[sub])
+        priority = ea[sub, 0].max(1)[None]
+        total = records[0, :, : 2 * k].copy()
+    else:
+        starts = records[..., -1]
+        if sizes is None:
+            priority = ea[sub].max(2).T
+        else:
+            priority = np.full(records.shape[:2], -np.inf)
+            priority[place] = ea.max(2)[:, 0]
+            priority = priority[:, sub]
+            sizes = sizes if not converged else [sizes[i] for i in sub.tolist()]
+        records, total = records[:, sub], total[sub]
+    narrowest = (edges[:, 1:] - edges[:, :-1]).min()
+    ids = sub if converged else None
+    sums, lefts = _adaptive(
+        f, a, b, spec, run, outer, records, priority, total, sizes, narrowest, ids
+    )
+    tv[sub], te[sub] = sums[:, :k], sums[:, k:]
+    if converged:
+        # the rows that met the tolerance end on their start panels
+        full = np.full((len(lefts), rows), np.inf)
+        full[: len(starts)] = starts
+        full[:, sub] = lefts
+        lefts = full
+    return tv, te, lefts
+
+
+def _adaptive(
+    f: _RowIntegrand,
+    a: float,
+    b: float,
+    spec: QuadSpec,
+    run: _Run,
+    outer: Callable[[int, int], tuple[float, ...]],
+    records: np.ndarray,
+    priority: np.ndarray,
+    total: np.ndarray,
+    sizes: list[int] | None,
+    narrowest: float,
+    ids: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Globally adaptive bisection over (a, b) of rows that missed their
+    tolerance on their start panels, advanced in lockstep with one ``f``
+    call per round.
+
+    ``records`` [p, rows, 2k + 2] are the start panels, slot-major, as
+    ``_settle`` lays them out, ``priority`` [p, rows] their largest error
+    (-inf in the -0.0 slots), ``total`` [rows, 2k] each row's [value |
+    error] sums, and ``sizes`` each row's number of start panels (None: p
+    each).  The start panels count as P_i - 1 bisections against
+    ``max_subdivisions``, so a row never holds more than ``max_subdivisions
+    + 1`` panels.  Every round, each unconverged row bisects its worst
+    splittable panel (largest error, the leftmost on ties).  A budget that
+    runs out stops the loop after the round in flight.  After each round, a
+    row whose panel sums meet the tolerance is done; no running total is
+    kept, so that one huge panel cannot absorb the others.  ``narrowest``
+    is the width of the narrowest start panel of any row, and ``ids[i]``
+    the row of the caller that row i is (None: row i), for ``f`` and
+    ``outer``.  Returns each row's final sums [rows, 2k] and the left edges
+    of its final panels in slot order, [slots, rows], with inf in slots a
+    row never filled.
+    """
+    p, rows, _ = records.shape
+    k = total.shape[1] // 2
     # The partition, slot-major: panels[s, i] is the record of the panel in
     # slot s of row i, [value | error | right | left | priority].  A split's
     # left half keeps its panel's slot and the right half of round r takes
@@ -470,20 +618,18 @@ def _adaptive(
     width = 2 * k + 3
     panels = _blank(max(8, 2 * p), rows, width)
     panels[:p, :, :-1] = records
-    if sizes is None:
-        panels[:p, :, -1] = ea.max(2).T
-    else:
-        panels[place + (-1,)] = ea.max(2)[:, 0]
-    if converged:
-        panels[:p, done, -1] = -np.inf
+    panels[:p, :, -1] = priority
+    if ids is not None:
+        outer = lambda row, c, outer=outer: outer(ids[row], c)
+    every = slice(None)
     index = np.arange(rows)
+    converged = 0
     # Bisection keeps every panel d bisections below a start panel of width
     # w at least w / 2**d - eps M wide, M = max(|a|, |b|), and a panel wider
     # than 2 eps M is splittable: until round `narrowing`, counted from the
     # narrowest start panel of any row, no panel can be too narrow to
     # bisect, and the test for one is skipped.
-    w = (edges[:, 1:] - edges[:, :-1]).min()
-    narrowing = p - 1 + math.log2(w / (4 * _EPS * max(abs(a), abs(b)) + 1e-300))
+    narrowing = p - 1 + math.log2(narrowest / (4 * _EPS * max(abs(a), abs(b)) + 1e-300))
     r = p - 1  # every live row i has split r - (p - P_i) times
 
     limit = spec.max_subdivisions
@@ -515,7 +661,7 @@ def _adaptive(
             continue
         run.splitting += 1
         try:
-            hv, he, ha = _evaluate(f, edges, live, run)
+            hv, he, ha = _evaluate(f, edges, live if ids is None else ids[live], run)
         except _Dropped:
             break
         finally:
@@ -544,7 +690,7 @@ def _adaptive(
     run.converged = run.converged and converged == rows
     if not math.isfinite(total.sum()):
         _check_records(panels, total, k, outer)
-    return total[:, :k], total[:, k:], panels[: r + 1, :, -2]
+    return total, panels[: r + 1, :, -2]
 
 
 def _blank(cap: int, rows: int, width: int) -> np.ndarray:
@@ -567,7 +713,7 @@ def _coords_of(fixed: tuple[np.ndarray, ...], row: int) -> tuple[float, ...]:
 def _iterated(
     g: _Integrand,
     groups: tuple[tuple[Interval, ...], ...],
-    specs: list[tuple[QuadSpec, ...]],
+    specs: tuple[tuple[QuadSpec, ...], ...],
     run: _Run,
     fixed: tuple[np.ndarray, ...],
     rows: int,
@@ -581,8 +727,11 @@ def _iterated(
     ``_BLOCK_ROWS`` rows.  ``specs`` holds one spec per axis, group by group.
     Returns per-row (value, error_estimate).
 
-    A pair keeps the inner partition that each row's outer panels ended on
-    and starts each row's inner integral of a split round from its split
+    Each round of a pair is one tensor step: one call of the integrand on
+    the outer nodes times each row's inner start partition, from which the
+    inner sums, and in the first round the outer sums too, are taken.  A
+    pair keeps the inner partition that each row's outer panels ended on and
+    starts each row's inner integral of a split round from its split
     panel's.  The live rows run one inner integration, whose rows start from
     partitions of different sizes and each take the bisections they would
     take alone.
@@ -593,7 +742,7 @@ def _iterated(
             return _fan_out(g, groups[1:], specs[1:], run, coords)
         shape = np.broadcast(*coords).shape
         values = np.asarray(g(*coords), dtype=float)
-        # _evaluate's sums depend on the memory layout: hand it a C-order grid
+        # _sums depend on the memory layout: hand them a C-order grid
         if values.shape != shape or not values.flags.c_contiguous:
             values = np.ascontiguousarray(np.broadcast_to(values, shape))
         # a sum of finite values can overflow; only then look at each value
@@ -608,40 +757,60 @@ def _iterated(
     if not inner:
         def f(x, live, edges):
             return leaf(tuple(c[live, None, None] for c in fixed) + (x[:, None, :],))
-    else:
-        ((vlo, vhi),) = inner
-        # the final inner partition (a list of edges) of each row's outer
-        # panels, keyed by (row, left edge, right edge)
-        ends = {}
 
-        def f(u, live, edges):
-            fixed_u = tuple(c[live] for c in fixed)
-            ids = range(rows)[live] if isinstance(live, slice) else live.tolist()
-            e = edges.tolist()
-            seeds = None
-            if len(e[0]) == 3:  # a split round: each row's panel's partition
-                seeds = [ends.pop((i, lo, hi)) for i, (lo, _, hi) in zip(ids, e)]
+        value, error, _ = _start(
+            f, lo, hi, specs[0][0], run, rows, lambda r, k: _coords_of(fixed, r)
+        )
+        return value[:, 0], error[:, 0]
 
-            def fv(v, live, _):
-                return leaf(
-                    tuple(c[live, None, None] for c in fixed_u)
-                    + (u[live, :, None], v[:, None, :])
-                )
+    ((vlo, vhi),) = inner
+    # the final inner partition (a list of edges) of each row's outer panels,
+    # keyed by (row, left edge, right edge)
+    ends = {}
 
-            value, error, lefts = _adaptive(
-                fv, vlo, vhi, specs[0][1], run, len(u),
-                lambda r, k: _coords_of(fixed_u, r) + (float(u[r, k]),),
-                seeds,
+    def step(u, live, edges):
+        """The inner integrals at the outer nodes u of the live rows' panels
+        between ``edges``: from [vlo, vhi] in the first round (two edges),
+        from the split panel's partition in a split round (three)."""
+        fixed_u = tuple(c[live] for c in fixed)
+        ids = range(rows)[live] if isinstance(live, slice) else live.tolist()
+        e = edges.tolist()
+        seeds = None
+        if len(e[0]) == 3:
+            seeds = [ends.pop((i, lo, hi)) for i, (lo, _, hi) in zip(ids, e)]
+
+        def fv(v, live, _):
+            return leaf(
+                tuple(c[live, None, None] for c in fixed_u)
+                + (u[live, :, None], v[:, None, :])
             )
-            for i, row, partition in zip(ids, e, np.sort(lefts, 0).T.tolist()):
+
+        value, error, lefts = _start(
+            fv, vlo, vhi, specs[0][1], run, len(u),
+            lambda r, k: _coords_of(fixed_u, r) + (float(u[r, k]),),
+            seeds,
+        )
+        if lefts is None:  # every row ended on its start partition
+            partitions = seeds or [[vlo, vhi]] * len(u)
+        else:
+            partitions = np.sort(lefts, 0).T.tolist()
+            for partition in partitions:
                 if partition[-1] == math.inf:  # slots the row never filled
                     del partition[partition.index(math.inf) :]
                 partition.append(vhi)
-                ends.update(((i, lo, hi), partition) for lo, hi in zip(row, row[1:]))
-            return value[:, None, :], error[:, None, :]
+        for i, row, partition in zip(ids, e, partitions):
+            ends.update(((i, lo, hi), partition) for lo, hi in zip(row, row[1:]))
+        return value[:, None, :], error[:, None, :]
 
-    value, error, _ = _adaptive(
-        f, lo, hi, specs[0][0], run, rows, lambda r, k: _coords_of(fixed, r)
+    # the first round: the outer sums from the inner results at the nodes of
+    # each row's one outer panel
+    edges, u, half = _panel(lo, hi, rows, run.rule.nodes)
+    values, aux = step(u, slice(None), edges)
+    run.used += values.size
+    value, err, aux = _sums(values, aux, half, run.rule)
+    value, error, _ = _settle(
+        step, lo, hi, specs[0][0], run, lambda r, k: _coords_of(fixed, r),
+        None, edges, None, value, err + aux,
     )
     return value[:, 0], error[:, 0]
 
@@ -669,16 +838,21 @@ def _fan_out(g, groups, specs, run, coords) -> tuple[np.ndarray, np.ndarray]:
     return value.reshape(grid[0].shape), error.reshape(grid[0].shape)
 
 
-def _specs(spec: QuadSpec, groups) -> list[tuple[QuadSpec, ...]]:
+def _specs(spec: QuadSpec, groups) -> tuple[tuple[QuadSpec, ...], ...]:
     """One spec per axis, group by group: the inner axis of a pair 10x
     tighter than its outer axis, and the first axis of a group
     ``_GROUP_TIGHTENING`` times tighter than the last axis of the group
     outside it."""
+    return _specs_by_size(spec, tuple(len(group) for group in groups))
+
+
+@functools.lru_cache(maxsize=64)
+def _specs_by_size(spec: QuadSpec, sizes: tuple[int, ...]):
     specs = []
-    for group in groups:
+    for size in sizes:
         level = specs[-1][-1].tightened(_GROUP_TIGHTENING) if specs else spec
-        specs.append((level, level.tightened(10.0))[: len(group)])
-    return specs
+        specs.append((level, level.tightened(10.0))[:size])
+    return tuple(specs)
 
 
 # float() reads text, and tuple() splits it into characters: neither is a
@@ -723,7 +897,7 @@ def _integrate(
                 raise QuadratureError(f"invalid interval ({lo!r}, {hi!r})")
             pairs.append((lo, hi))
         checked.append(tuple(pairs))
-    spec = spec or QuadSpec()
+    spec = spec or _DEFAULT_SPEC
     run = _Run(spec.max_evals, _RULES[len(checked)])
     # panel sums may overflow on a divergent integrand; that raises
     # DivergentIntegralError, not a warning

@@ -310,16 +310,17 @@ def test_area_budget_in_the_first_outer_round_still_estimates(monkeypatch):
     # first inner panel (15 x 15 points and 15 results).  That round is the
     # overshoot QuadSpec documents: per row, the theta integral of the 30
     # phi nodes of a split round evaluates 2 panels, or, in its first
-    # round, its whole seeded start partition.
+    # round, its whole seeded start partition.  Every theta integral starts
+    # in _start.
     largest_start = []
-    adaptive = quadrature._adaptive
+    start_ = quadrature._start
 
     def spy(f, a, b, spec, run, rows, outer, start=None):
         if start is not None and b == _THETA_BOX[1]:
             largest_start.append(max(len(edges) - 1 for edges in start))
-        return adaptive(f, a, b, spec, run, rows, outer, start)
+        return start_(f, a, b, spec, run, rows, outer, start)
 
-    monkeypatch.setattr(quadrature, "_adaptive", spy)
+    monkeypatch.setattr(quadrature, "_start", spy)
     first_panels = 15 * 15 * (15 * 15 + 15)
     for max_evals in (20_000, 1_000_000, 5_000_000):
         largest_start.clear()

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from densbrackets import quadrature
+from densbrackets import AreaProblem, FlowMap, area, parse, quadrature
 from densbrackets.quadrature import (
     _BLOCK_ROWS,
     _GK15,
@@ -227,14 +227,17 @@ def test_tightened_tolerances_stop_at_the_smallest_double():
     ids=["2-d", "3-d", "4-d"],
 )
 def test_a_pair_tightens_10x_and_a_nested_group_3x(monkeypatch, outer, expected):
+    # Every integral, on every axis, tests its first round in _settle; the
+    # outer axis of a pair does so on sums from the same tensor step as its
+    # inner axis.
     tolerances = {}
-    adaptive = quadrature._adaptive
+    settle = quadrature._settle
 
     def spy(f, a, b, spec, *args):
         tolerances.setdefault(b, set()).add((spec.abs_tol, spec.rel_tol))
-        return adaptive(f, a, b, spec, *args)
+        return settle(f, a, b, spec, *args)
 
-    monkeypatch.setattr(quadrature, "_adaptive", spy)
+    monkeypatch.setattr(quadrature, "_settle", spy)
     inner = ((0.0, 1.0), (0.0, 2.0))
     spec = QuadSpec(abs_tol=1e-3, rel_tol=1e-3)
     if outer:
@@ -478,6 +481,123 @@ def test_2d_error_includes_inner_accumulation():
     assert r.value == pytest.approx(ref, abs=1e-10)
 
 
+def test_a_one_panel_2d_integral_makes_one_integrand_call():
+    # Both axes meet their tolerance on the first panel: the 21 x 21 grid of
+    # one tensor step is the only call.
+    shapes = []
+
+    def f(x, y):
+        shapes.append(np.broadcast(x, y).shape)
+        return x * y + 1
+
+    r = integrate_2d(f, ((0, 1), (0, 1)))
+    assert r.converged and r.n_evals == 462
+    assert shapes == [(1, 21, 21)]
+
+
+def test_a_budget_below_the_first_panel_still_takes_it():
+    spec = QuadSpec(max_evals=100)
+    r = integrate_2d(lambda x, y: x * y + 1, ((0, 1), (0, 1)), spec)
+    assert (r.value, r.n_evals, r.converged) == (1.25, 462, False)
+
+
+# The rotation flow of the paper's Gaussian density in measure mode: its
+# inner sphere integral does not depend on t, so the area runs the 3-d path.
+_ROTATION_PATCH = AreaProblem(
+    rho=parse(
+        "exp(-(1/4)*(sin(theta)/(1 - cos(theta)))^4*sin(2*phi)^2)"
+        "/0.7082398710282987"
+    ),
+    flow=FlowMap(theta_map=parse("theta"), phi_map=parse("phi + t")),
+    s_interval=(math.pi / 4, 3 * math.pi / 4),
+    t_interval=(math.pi / 4, 3 * math.pi / 4),
+    weight_mode="measure",
+)
+
+
+# (value, error_estimate, n_evals, converged), each value as float.hex(), of
+# runs through every branch of the pair driver: a first round that meets
+# both tolerances, an inner axis that bisects its first panel, outer split
+# rounds whose inner integrals start from seeded partitions, and the pair
+# blocks of a 3-d area.  A change to the driver that keeps the numbers keeps
+# every bit of them.
+@pytest.mark.parametrize(
+    "run, bits",
+    [
+        (
+            lambda: integrate_2d(lambda x, y: x * y + 1, ((0, 1), (0, 1))),
+            ("0x1.4000000000000p+0", "0x1.175496f561a33p-53", 462, True),
+        ),
+        (
+            lambda: integrate_2d(
+                lambda t1, t2: np.exp(np.cos(t1) + np.cos(t2)),
+                ((0, 2 * math.pi), (0, 2 * math.pi)),
+            ),
+            ("0x1.fa3f3168230d1p+5", "0x1.7d56caba7cf7cp-28", 6678, True),
+        ),
+        (
+            lambda: integrate_2d(
+                lambda u, v: np.sqrt(np.abs(v - 1 / 3)) + u, ((0, 1), (0, 1))
+            ),
+            ("0x1.fb7ceb3092509p-1", "0x1.46bd51c817b4bp-38", 18102, True),
+        ),
+        (
+            lambda: integrate_2d(
+                lambda u, v: np.sqrt(np.abs(u - 0.6)) * np.cos(3 * v)
+                + np.sqrt(np.abs(v - 1 / 3)) * u,
+                ((0, 1), (0, 1)),
+                QuadSpec(abs_tol=1e-8, rel_tol=1e-8),
+            ),
+            ("0x1.1289581fff948p-2", "0x1.4795adb693371p-28", 155232, True),
+        ),
+        (
+            lambda: area(_ROTATION_PATCH, QuadSpec(abs_tol=1e-3, rel_tol=1e-3)),
+            ("0x1.3bd3cbd8325e2p+1", "0x1.231f4aa1d5b46p-14", 106215, True),
+        ),
+    ],
+    ids=["one panel", "torus mass", "inner bisects", "outer splits", "rotation area"],
+)
+def test_the_driver_keeps_its_numbers_bit_for_bit(run, bits):
+    r = run()
+    assert (r.value.hex(), r.error_estimate.hex(), r.n_evals, r.converged) == bits
+
+
+def test_errors_on_the_first_grid_of_a_3d_block_report_every_coordinate():
+    # The first grid is the first (u, v) tensor step of the first block of
+    # s-nodes; (s, u) are its first nodes and v the midpoint of the inner
+    # panel whose sum overflows.
+    box = ((0.0, 1.0), (0.0, 1.0))
+    calls = []
+
+    def nan_near_the_corner(s, u, v):
+        calls.append(1)
+        return np.where(u + v > 1.5, np.nan, s)
+
+    with pytest.raises(NonFiniteIntegrandError) as err:
+        integrate_4d(nan_near_the_corner, ((0.0, 1.0),), box)
+    assert len(calls) == 1
+    assert tuple(x.hex() for x in err.value.point) == (
+        "0x1.17fd8acbd93c0p-8",
+        "0x1.353165125c18fp-1",
+        "0x1.dd67c13dcdd9fp-1",
+    )
+    calls.clear()
+
+    def huge(s, u, v):
+        calls.append(1)
+        return 1e308 + 0.0 * (s + u + v)
+
+    with pytest.raises(DivergentIntegralError) as err:
+        integrate_4d(huge, ((0.0, 1.0),), box)
+    assert not isinstance(err.value, NonFiniteIntegrandError)
+    assert len(calls) == 1
+    assert tuple(x.hex() for x in err.value.point) == (
+        "0x1.17fd8acbd93c0p-8",
+        "0x1.17fd8acbd93c0p-8",
+        "0x1.0000000000000p-1",
+    )
+
+
 # -- 4-d ---------------------------------------------------------------------------
 
 
@@ -542,16 +662,18 @@ def test_no_integral_starts_in_a_split_round_once_the_budget_is_out(monkeypatch)
     # The (u, v) rows of a block split with seeds of several sizes, all in
     # one inner integration per split round.  Once the budget is out, a
     # block still to run drops the split round instead of evaluating its
-    # start partitions.
+    # start partitions.  Every integral starts in _start, before its first
+    # integrand call; the outer axis of a pair starts in the same call as
+    # the inner integrals of its first round.
     late = []
-    adaptive = quadrature._adaptive
+    start_ = quadrature._start
 
     def spy(f, a, b, spec, run, rows, outer, start=None):
         if run.exhausted and run.splitting:
             late.append(rows)
-        return adaptive(f, a, b, spec, run, rows, outer, start)
+        return start_(f, a, b, spec, run, rows, outer, start)
 
-    monkeypatch.setattr(quadrature, "_adaptive", spy)
+    monkeypatch.setattr(quadrature, "_start", spy)
     box = ((0.0, 1.0), (0.0, 1.0))
 
     def f(s, t, u, v):
@@ -620,9 +742,14 @@ def _block_against_rows(groups, spec, monkeypatch):
 
 def _spy_on_rounds(monkeypatch):
     """Record, for every round of every axis, the start panel count of each
-    row of the inner integrals that the round runs."""
+    row of the inner integrals that the round runs.
+
+    A split round is an ``_evaluate`` call, and the inner integrals it runs
+    start in ``_start`` from seeded partitions.  Integrals that start from
+    one panel evaluate it without ``_evaluate``: that ``_start`` call is a
+    round of its own, the tensor step of a pair's first round."""
     rounds, stack = [], [[]]
-    evaluate, adaptive = quadrature._evaluate, quadrature._adaptive
+    evaluate, start_ = quadrature._evaluate, quadrature._start
 
     def evaluate_spy(*args):
         stack.append([])
@@ -631,28 +758,37 @@ def _spy_on_rounds(monkeypatch):
         finally:
             rounds.append(stack.pop())
 
-    def adaptive_spy(f, a, b, spec, run, rows, outer, start=None):
-        stack[-1].extend([1] * rows if start is None else [len(e) - 1 for e in start])
-        return adaptive(f, a, b, spec, run, rows, outer, start)
+    def start_spy(f, a, b, spec, run, rows, outer, start=None):
+        if start is not None:
+            stack[-1].extend(len(e) - 1 for e in start)
+            return start_(f, a, b, spec, run, rows, outer, start)
+        stack.append([1] * rows)
+        try:
+            return start_(f, a, b, spec, run, rows, outer, start)
+        finally:
+            rounds.append(stack.pop())
 
     monkeypatch.setattr(quadrature, "_evaluate", evaluate_spy)
-    monkeypatch.setattr(quadrature, "_adaptive", adaptive_spy)
+    monkeypatch.setattr(quadrature, "_start", start_spy)
     return rounds
 
 
 def _spy_on_seeds(monkeypatch):
     """Record (start panels, final panels), each the most of any row, of
-    every inner integral of a pair."""
-    calls = []
-    adaptive = quadrature._adaptive
+    every integral, in the order they return.
 
-    def spy(f, a, b, spec, run, rows, outer, start=None):
-        value, error, lefts = adaptive(f, a, b, spec, run, rows, outer, start)
+    Every integral tests its first round in ``_settle``, which returns no
+    left edges if every row ended on its start partition."""
+    calls = []
+    settle = quadrature._settle
+
+    def spy(f, a, b, spec, run, outer, start, *first):
+        value, error, lefts = settle(f, a, b, spec, run, outer, start, *first)
         p = 1 if start is None else max(len(e) - 1 for e in start)
-        calls.append((p, int(np.isfinite(lefts).sum(0).max())))
+        calls.append((p, p if lefts is None else int(np.isfinite(lefts).sum(0).max())))
         return value, error, lefts
 
-    monkeypatch.setattr(quadrature, "_adaptive", spy)
+    monkeypatch.setattr(quadrature, "_settle", spy)
     return calls
 
 
