@@ -445,7 +445,10 @@ def _lower(expr: Expr, variables: Sequence[str]) -> _Program:
                 nodes.append(node)
         return slot
 
-    result = visit(expr)
+    try:
+        result = visit(expr)
+    finally:
+        del visit  # the closure refers to itself through its cell
     return _Program(tuple(init), tuple(steps), tuple(nodes), result)
 
 

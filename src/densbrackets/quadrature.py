@@ -45,12 +45,14 @@ Each round of a pair is one tensor step: one integrand call on the outer
 nodes times each row's inner start partition (the one inner panel in the
 first round, the seeded partition in a split round).  The inner sums are
 taken from that grid, and in the first round the outer sums too, with the
-same products in the same slot order as every other round.  A row whose
-sums meet its tolerance on its start partition returns them and never
-enters the bisection loop (``_adaptive``); only the rows that missed it
-build panel records and bisect, from the sums already tested, so no value
-is computed twice.  A 2-d integral whose first panel meets both
-tolerances makes one integrand call, on a 21 x 21 grid.
+same products in the same slot order as every other round.  Every axis,
+the outer axis of a pair included, starts in ``_start``, which makes its
+first integrand call and tests it.  A row whose sums meet its tolerance on
+its start partition returns them and never enters the bisection loop
+(``_adaptive``); only the rows that missed it build panel records and
+bisect, from the sums already tested, so no value is computed twice.  A
+2-d integral whose first panel meets both tolerances makes one integrand
+call, on a 21 x 21 grid.
 
 An evaluation budget stops the run after the round in flight.  An outer
 split round whose inner integrals have not all started is dropped, and its
@@ -448,60 +450,15 @@ def _start(
     Row i starts from the P_i panels between its edges ``start[i]`` (each
     from ``a`` to ``b``; the sizes may differ), or from the one panel [a, b]
     without ``start``.  The first round evaluates every start panel of every
-    row in one call; ``_settle`` tests it and bisects the rows that missed
-    their tolerance.  ``outer(row, k)`` gives the outer coordinates of a
-    component, for error reports.  Returns what ``_settle`` returns.
-    """
-    place, live = None, slice(None)
-    if start is None:
-        edges, x, half = _panel(a, b, rows, run.rule.nodes)
-    else:
-        if all(len(e) == len(start[0]) for e in start):
-            edges = np.array(start)  # every row starts from p panels
-        else:
-            # each start panel is a one-panel row of its own in the first
-            # round, and takes the (slot, row) ``place`` in the records
-            sizes = [len(e) - 1 for e in start]
-            p = max(sizes)
-            place = (
-                [s for size in sizes for s in range(p - size, p)],
-                [i for i, size in enumerate(sizes) for _ in range(size)],
-            )
-            edges = np.array([e[j : j + 2] for e in start for j in range(len(e) - 1)])
-            live = np.array(place[1])
-        x, half = _nodes(edges, run.rule.nodes)
-    values, aux = f(x, live, edges)
-    run.used += values.size
-    value, err, aux = _sums(values, aux, half, run.rule)
-    ea = err if aux is None else err + aux
-    return _settle(f, a, b, spec, run, outer, start, edges, place, value, ea)
-
-
-def _settle(
-    f: _RowIntegrand,
-    a: float,
-    b: float,
-    spec: QuadSpec,
-    run: _Run,
-    outer: Callable[[int, int], tuple[float, ...]],
-    start: list[list[float]] | None,
-    edges: np.ndarray,
-    place: tuple[list[int], list[int]] | None,
-    value: np.ndarray,
-    ea: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The first convergence test of integrals over (a, b), then the
-    bisection, in ``_adaptive``, of the rows that missed their tolerance.
-
-    (value, ea) are the value and error (|G - K| plus aux error) of the start
-    panels between ``edges``, laid out as ``_start`` lays them out: [rows, p,
-    k] if every row starts from p panels (``place`` is None), else one
-    panel of ``start`` per row, [panels, 1, k], at the (slot, row) ``place``.
-    Each row's sums are those of its start panels in slot order; with P =
-    max P_i, row i's start panels take slots P - P_i .. P - 1, and value and
-    error -0.0 in the slots before them, which add nothing to its sums (x +
-    -0.0 == x).  A row whose sums meet the tolerance is done; so is every
-    row once the budget is out.
+    row in one call, laid out [rows, p, k] if every row starts from p panels
+    (``place`` is None), else one panel of ``start`` per row, [panels, 1,
+    k], at the (slot, row) ``place``.  Each row's sums are those of its
+    start panels in slot order; with P = max P_i, row i's start panels take
+    slots P - P_i .. P - 1, and value and error -0.0 in the slots before
+    them, which add nothing to its sums (x + -0.0 == x).  A row whose sums
+    meet the tolerance is done; so is every row once the budget is out.
+    The others bisect in ``_adaptive``.  ``outer(row, k)`` gives the outer
+    coordinates of a component, for error reports.
 
     Returns per-component (value, error_estimate), each [rows, k]: the sums
     that the row's last convergence test read, so ``converged`` speaks of
@@ -509,8 +466,28 @@ def _settle(
     partition; else it holds the left edges of each row's final panels in
     slot order, [slots, rows], with inf in slots a row never filled.
     """
+    place = sizes = None
+    if start is None:
+        edges, x, half = _panel(a, b, rows, run.rule.nodes)
+        values, aux = f(x, slice(None), edges)
+        run.used += values.size
+        value, err, aux = _sums(values, aux, half, run.rule)
+    elif all(len(e) == len(start[0]) for e in start):
+        edges = np.array(start)  # every row starts from p panels
+        value, err, aux = _evaluate(f, edges, slice(None), run)
+    else:
+        # each start panel is a one-panel row of its own in the first round,
+        # and takes the (slot, row) ``place`` in the records
+        sizes = [len(e) - 1 for e in start]
+        p = max(sizes)
+        place = (
+            [s for size in sizes for s in range(p - size, p)],
+            [i for i, size in enumerate(sizes) for _ in range(size)],
+        )
+        edges = np.array([e[j : j + 2] for e in start for j in range(len(e) - 1)])
+        value, err, aux = _evaluate(f, edges, np.array(place[1]), run)
+    ea = err if aux is None else err + aux
     k = value.shape[2]
-    sizes = None if place is None else [len(e) - 1 for e in start]
     if place is None and value.shape[1] == 1:
         # one start panel per row, whose numbers are its sums; a value that
         # is not finite makes its error not finite
@@ -534,7 +511,6 @@ def _settle(
             _check_records(records, total, k, outer)
         tv, te = total[:, :k], total[:, k:]
     done = _met(tv, te, spec)
-    rows = len(done)
     converged = int(np.count_nonzero(done))
     if converged == rows or run.exhausted:
         run.converged = run.converged and converged == rows
@@ -543,21 +519,17 @@ def _settle(
     # Only the rows that missed their tolerance bisect, from the sums just
     # tested; each takes the slots, sums and evaluations it would take alone.
     sub = np.flatnonzero(~done) if converged else slice(None)
-    if records is None:
-        starts = edges[:, :-1].T
-        records = _records(value[sub], ea[sub], edges[sub])
-        priority = ea[sub, 0].max(1)[None]
-        total = records[0, :, : 2 * k].copy()
+    if records is None:  # the one-panel test built none
+        records, total = _records(value, ea, edges), np.hstack([tv, te])
+    starts = records[..., -1]
+    if sizes is None:
+        priority = ea[sub].max(2).T
     else:
-        starts = records[..., -1]
-        if sizes is None:
-            priority = ea[sub].max(2).T
-        else:
-            priority = np.full(records.shape[:2], -np.inf)
-            priority[place] = ea.max(2)[:, 0]
-            priority = priority[:, sub]
-            sizes = sizes if not converged else [sizes[i] for i in sub.tolist()]
-        records, total = records[:, sub], total[sub]
+        priority = np.full(records.shape[:2], -np.inf)
+        priority[place] = ea.max(2)[:, 0]
+        priority = priority[:, sub]
+        sizes = sizes if not converged else [sizes[i] for i in sub.tolist()]
+    records, total = records[:, sub], total[sub]
     narrowest = (edges[:, 1:] - edges[:, :-1]).min()
     ids = sub if converged else None
     sums, lefts = _adaptive(
@@ -592,7 +564,7 @@ def _adaptive(
     call per round.
 
     ``records`` [p, rows, 2k + 2] are the start panels, slot-major, as
-    ``_settle`` lays them out, ``priority`` [p, rows] their largest error
+    ``_start`` lays them out, ``priority`` [p, rows] their largest error
     (-inf in the -0.0 slots), ``total`` [rows, 2k] each row's [value |
     error] sums, and ``sizes`` each row's number of start panels (None: p
     each).  The start panels count as P_i - 1 bisections against
@@ -755,62 +727,51 @@ def _iterated(
 
     (lo, hi), *inner = groups[0]
     if not inner:
-        def f(x, live, edges):
+        def step(x, live, edges):
             return leaf(tuple(c[live, None, None] for c in fixed) + (x[:, None, :],))
+    else:
+        ((vlo, vhi),) = inner
+        # the final inner partition (a list of edges) of each row's outer
+        # panels, keyed by (row, left edge, right edge)
+        ends = {}
 
-        value, error, _ = _start(
-            f, lo, hi, specs[0][0], run, rows, lambda r, k: _coords_of(fixed, r)
-        )
-        return value[:, 0], error[:, 0]
+        def step(u, live, edges):
+            """The inner integrals at the outer nodes u of the live rows'
+            panels between ``edges``: from [vlo, vhi] in the first round
+            (two edges), from the split panel's partition in a split round
+            (three)."""
+            fixed_u = tuple(c[live] for c in fixed)
+            ids = range(rows)[live] if isinstance(live, slice) else live.tolist()
+            e = edges.tolist()
+            seeds = None
+            if len(e[0]) == 3:
+                seeds = [ends.pop((i, lo, hi)) for i, (lo, _, hi) in zip(ids, e)]
 
-    ((vlo, vhi),) = inner
-    # the final inner partition (a list of edges) of each row's outer panels,
-    # keyed by (row, left edge, right edge)
-    ends = {}
+            def fv(v, live, _):
+                return leaf(
+                    tuple(c[live, None, None] for c in fixed_u)
+                    + (u[live, :, None], v[:, None, :])
+                )
 
-    def step(u, live, edges):
-        """The inner integrals at the outer nodes u of the live rows' panels
-        between ``edges``: from [vlo, vhi] in the first round (two edges),
-        from the split panel's partition in a split round (three)."""
-        fixed_u = tuple(c[live] for c in fixed)
-        ids = range(rows)[live] if isinstance(live, slice) else live.tolist()
-        e = edges.tolist()
-        seeds = None
-        if len(e[0]) == 3:
-            seeds = [ends.pop((i, lo, hi)) for i, (lo, _, hi) in zip(ids, e)]
-
-        def fv(v, live, _):
-            return leaf(
-                tuple(c[live, None, None] for c in fixed_u)
-                + (u[live, :, None], v[:, None, :])
+            value, error, lefts = _start(
+                fv, vlo, vhi, specs[0][1], run, len(u),
+                lambda r, k: _coords_of(fixed_u, r) + (float(u[r, k]),),
+                seeds,
             )
+            if lefts is None:  # every row ended on its start partition
+                partitions = seeds or [[vlo, vhi]] * len(u)
+            else:
+                partitions = np.sort(lefts, 0).T.tolist()
+                for partition in partitions:
+                    if partition[-1] == math.inf:  # slots the row never filled
+                        del partition[partition.index(math.inf) :]
+                    partition.append(vhi)
+            for i, row, partition in zip(ids, e, partitions):
+                ends.update(((i, lo, hi), partition) for lo, hi in zip(row, row[1:]))
+            return value[:, None, :], error[:, None, :]
 
-        value, error, lefts = _start(
-            fv, vlo, vhi, specs[0][1], run, len(u),
-            lambda r, k: _coords_of(fixed_u, r) + (float(u[r, k]),),
-            seeds,
-        )
-        if lefts is None:  # every row ended on its start partition
-            partitions = seeds or [[vlo, vhi]] * len(u)
-        else:
-            partitions = np.sort(lefts, 0).T.tolist()
-            for partition in partitions:
-                if partition[-1] == math.inf:  # slots the row never filled
-                    del partition[partition.index(math.inf) :]
-                partition.append(vhi)
-        for i, row, partition in zip(ids, e, partitions):
-            ends.update(((i, lo, hi), partition) for lo, hi in zip(row, row[1:]))
-        return value[:, None, :], error[:, None, :]
-
-    # the first round: the outer sums from the inner results at the nodes of
-    # each row's one outer panel
-    edges, u, half = _panel(lo, hi, rows, run.rule.nodes)
-    values, aux = step(u, slice(None), edges)
-    run.used += values.size
-    value, err, aux = _sums(values, aux, half, run.rule)
-    value, error, _ = _settle(
-        step, lo, hi, specs[0][0], run, lambda r, k: _coords_of(fixed, r),
-        None, edges, None, value, err + aux,
+    value, error, _ = _start(
+        step, lo, hi, specs[0][0], run, rows, lambda r, k: _coords_of(fixed, r)
     )
     return value[:, 0], error[:, 0]
 

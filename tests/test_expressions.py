@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import random
 
@@ -611,6 +612,25 @@ def test_compile_broadcasts():
 def test_compile_rejects_unknown_variable():
     with pytest.raises(UnboundVariableError):
         compile_expr(parse("x + q"), ("x", "y"))
+
+
+@pytest.mark.parametrize(
+    "text", ["sin(x)*y + exp(-x^2)/(1+y)", "x + q"], ids=["compiles", "unbound"]
+)
+def test_compiling_leaves_no_garbage_cycle(text):
+    # A cycle would keep each lowering's slot table and program until the
+    # cyclic collector runs, also when an unbound variable stops it.
+    expr = parse(text)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            compile_expr(expr, ("x", "y"))
+        except UnboundVariableError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_compile_out_of_domain_yields_nonfinite():

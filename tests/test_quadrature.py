@@ -227,17 +227,17 @@ def test_tightened_tolerances_stop_at_the_smallest_double():
     ids=["2-d", "3-d", "4-d"],
 )
 def test_a_pair_tightens_10x_and_a_nested_group_3x(monkeypatch, outer, expected):
-    # Every integral, on every axis, tests its first round in _settle; the
-    # outer axis of a pair does so on sums from the same tensor step as its
-    # inner axis.
+    # Every integral, on every axis, starts in _start, the outer axis of a
+    # pair included; that axis's first round is the tensor step that also
+    # starts its inner axis.
     tolerances = {}
-    settle = quadrature._settle
+    start_ = quadrature._start
 
     def spy(f, a, b, spec, *args):
         tolerances.setdefault(b, set()).add((spec.abs_tol, spec.rel_tol))
-        return settle(f, a, b, spec, *args)
+        return start_(f, a, b, spec, *args)
 
-    monkeypatch.setattr(quadrature, "_settle", spy)
+    monkeypatch.setattr(quadrature, "_start", spy)
     inner = ((0.0, 1.0), (0.0, 2.0))
     spec = QuadSpec(abs_tol=1e-3, rel_tol=1e-3)
     if outer:
@@ -663,8 +663,8 @@ def test_no_integral_starts_in_a_split_round_once_the_budget_is_out(monkeypatch)
     # one inner integration per split round.  Once the budget is out, a
     # block still to run drops the split round instead of evaluating its
     # start partitions.  Every integral starts in _start, before its first
-    # integrand call; the outer axis of a pair starts in the same call as
-    # the inner integrals of its first round.
+    # integrand call; the outer axis of a pair starts before the inner
+    # integrals of its first round.
     late = []
     start_ = quadrature._start
 
@@ -744,14 +744,21 @@ def _spy_on_rounds(monkeypatch):
     """Record, for every round of every axis, the start panel count of each
     row of the inner integrals that the round runs.
 
-    A split round is an ``_evaluate`` call, and the inner integrals it runs
-    start in ``_start`` from seeded partitions.  Integrals that start from
-    one panel evaluate it without ``_evaluate``: that ``_start`` call is a
-    round of its own, the tensor step of a pair's first round."""
-    rounds, stack = [], [[]]
+    A split round is an ``_evaluate`` call from ``_adaptive``, and the inner
+    integrals it runs start in ``_start`` from seeded partitions, whose own
+    first round (an ``_evaluate`` call too) belongs to that split round.
+    Integrals that start from one panel evaluate it without ``_evaluate``:
+    that ``_start`` call is a round of its own, except for the outer axis of
+    a pair, whose integrand starts the inner integrals itself: its first
+    round is the tensor step that the ``_start`` call of its inner axis
+    records."""
+    rounds, stack, seeded = [], [[]], []
     evaluate, start_ = quadrature._evaluate, quadrature._start
 
     def evaluate_spy(*args):
+        if seeded:  # the first round of a seeded start
+            seeded.pop()
+            return evaluate(*args)
         stack.append([])
         try:
             return evaluate(*args)
@@ -761,6 +768,9 @@ def _spy_on_rounds(monkeypatch):
     def start_spy(f, a, b, spec, run, rows, outer, start=None):
         if start is not None:
             stack[-1].extend(len(e) - 1 for e in start)
+            seeded.append(True)
+            return start_(f, a, b, spec, run, rows, outer, start)
+        if "_start" in f.__code__.co_names:  # the outer axis of a pair
             return start_(f, a, b, spec, run, rows, outer, start)
         stack.append([1] * rows)
         try:
@@ -777,18 +787,18 @@ def _spy_on_seeds(monkeypatch):
     """Record (start panels, final panels), each the most of any row, of
     every integral, in the order they return.
 
-    Every integral tests its first round in ``_settle``, which returns no
-    left edges if every row ended on its start partition."""
+    Every integral starts in ``_start``, which returns no left edges if
+    every row ended on its start partition."""
     calls = []
-    settle = quadrature._settle
+    start_ = quadrature._start
 
-    def spy(f, a, b, spec, run, outer, start, *first):
-        value, error, lefts = settle(f, a, b, spec, run, outer, start, *first)
+    def spy(f, a, b, spec, run, rows, outer, start=None):
+        value, error, lefts = start_(f, a, b, spec, run, rows, outer, start)
         p = 1 if start is None else max(len(e) - 1 for e in start)
         calls.append((p, p if lefts is None else int(np.isfinite(lefts).sum(0).max())))
         return value, error, lefts
 
-    monkeypatch.setattr(quadrature, "_settle", spy)
+    monkeypatch.setattr(quadrature, "_start", spy)
     return calls
 
 
