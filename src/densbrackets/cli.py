@@ -1,9 +1,10 @@
 """Command-line interface: single computations and batch table runs.
 
 Every command writes exactly one JSON document to stdout (JSON lines for
-``table``); diagnostics go to stderr.  Exit codes: 0 success, 1 input error,
-2 ran but did not converge: no usable mass, a likely divergent integral, or
-(for ``table``) not all jobs passed.
+``table``); diagnostics go to stderr.  Exit codes: 0 success, 1 input error
+(a density negative at a node of its mass integral included), 2 ran but
+did not converge: no usable mass, a likely divergent integral, or (for
+``table``) not all jobs passed.
 
 Numeric flags accept expressions without free variables, so ``--s-lo pi/4``
 works; integer flags and keys must evaluate to a finite integer.  Expression
@@ -85,6 +86,7 @@ from .expressions import Const, Expr, ExpressionError, evaluate, parse
 from .geometry import (
     DOMAINS,
     GeometryError,
+    NegativeDensityError,
     NormalizationError,
     density_mass,
     domain_by_name,
@@ -451,7 +453,8 @@ def main(argv: list[str] | None = None) -> int:
         return _run_command(args)
     except (NormalizationError, DivergentIntegralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # a density negative at a node is an input error
+        return 1 if isinstance(exc, NegativeDensityError) else 2
     except (CliInputError, *_LIBRARY_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,8 +20,11 @@ of its integrand straight to the quadrature, inside :func:`compiled_kernel`.
 The quadrature leaf makes the one finiteness check per kernel call; the
 context turns the non-finite point it reports into the strict
 :class:`~densbrackets.expressions.DomainError` there, with every coordinate.
-Positivity of ``rho`` is a precondition on the caller's input; nothing here
-samples its sign.
+A mass integral also checks the sign of ``rho * weight`` at its nodes, one
+reduction per kernel call: every domain weight is >= 0 on its box, so a
+negative value proves ``rho`` negative there, and :func:`density_mass`
+raises :class:`NegativeDensityError` at the first such node.  The check
+sees only the quadrature nodes; a density negative between them passes.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+
+import numpy as np
 
 from .expressions import (
     BinOp,
@@ -50,6 +55,7 @@ __all__ = [
     "Density",
     "GeometryError",
     "NormalizationError",
+    "NegativeDensityError",
     "SQUARE",
     "TORUS",
     "SPHERE",
@@ -66,6 +72,19 @@ class GeometryError(Exception):
 
 class NormalizationError(GeometryError):
     """A density could not be normalized (non-positive or unresolved mass)."""
+
+
+class NegativeDensityError(NormalizationError):
+    """A density is negative at a node of its mass integral; ``point`` has
+    every coordinate of the first such node."""
+
+    def __init__(self, rho: Expr, coords: tuple[str, ...], point: tuple[float, ...]):
+        self.point = point
+        at = ", ".join(f"{name} = {x!r}" for name, x in zip(coords, point))
+        super().__init__(
+            f"density '{to_text(rho)}' is negative at {at}; a density is "
+            "positive on its domain"
+        )
 
 
 @dataclass(frozen=True)
@@ -156,12 +175,27 @@ def compiled_kernel(
 
 
 def density_mass(domain: Domain, rho: Expr, spec: QuadSpec | None = None) -> QuadResult:
-    """Total mass ``prefactor * integral(rho * weight)`` over the domain box."""
+    """Total mass ``prefactor * integral(rho * weight)`` over the domain box;
+    raises :class:`NegativeDensityError` if ``rho * weight`` is negative at
+    a node."""
     require_domain_vars(domain, rho, "density")
     integrand = simplify(BinOp("*", rho, domain.weight))
     with compiled_kernel(integrand, domain.coords) as kernel:
-        result = integrate_2d(kernel, domain.box, spec)
+        result = integrate_2d(
+            partial(_nonnegative, kernel, rho, domain.coords), domain.box, spec
+        )
     return result.scaled(domain.prefactor)
+
+
+def _nonnegative(kernel, rho: Expr, names: tuple[str, ...], *coords):
+    """``kernel(*coords)``; raises :class:`NegativeDensityError` at the
+    first node, in C order of the broadcast grid, whose value is < 0."""
+    values = kernel(*coords)
+    if values.min() < 0.0:
+        grid = np.broadcast_arrays(values, *coords)
+        first = np.argmax(grid[0] < 0.0, axis=None)
+        raise NegativeDensityError(rho, names, tuple(float(c.flat[first]) for c in grid[1:]))
+    return values
 
 
 def check_mass(rho: Expr, mass: QuadResult) -> QuadResult:

@@ -47,12 +47,14 @@ first round, the seeded partition in a split round).  The inner sums are
 taken from that grid, and in the first round the outer sums too, with the
 same products in the same slot order as every other round.  Every axis,
 the outer axis of a pair included, starts in ``_start``, which makes its
-first integrand call and tests it.  A row whose sums meet its tolerance on
-its start partition returns them and never enters the bisection loop
-(``_adaptive``); only the rows that missed it build panel records and
-bisect, from the sums already tested, so no value is computed twice.  A
-2-d integral whose first panel meets both tolerances makes one integrand
-call, on a 21 x 21 grid.
+first integrand call and tests it; a one-panel start takes its node grid
+from a cache (``_panel``).  A row whose sums meet its tolerance on its start
+partition returns them and never enters the bisection loop (``_adaptive``);
+only the rows that missed it build panel records and bisect, from the sums
+already tested, so no value is computed twice.  A pair keeps no inner
+partition for an outer panel whose inner integrals ended on their one
+panel.  A 2-d integral whose first panel meets both tolerances makes one
+integrand call, on a 21 x 21 grid.
 
 An evaluation budget stops the run after the round in flight.  An outer
 split round whose inner integrals have not all started is dropped, and its
@@ -65,7 +67,9 @@ kernels of :func:`densbrackets.expressions.compile_expr`: every coordinate,
 outer ones included, arrives as an array, and the result may be anything
 that broadcasts against them (a Python float included).  The quadrature
 leaf copies it to a C-ordered array on the full node grid, so the form of
-the result does not change any sum.  Any NaN or infinity aborts the
+the result does not change any sum.  An integrand must not write into its
+coordinates: a one-panel start's node grid is shared, read-only, by every
+integral that starts there.  Any NaN or infinity aborts the
 integration with every coordinate of the offending point reported; a panel
 sum that is not finite although every value was raises
 :class:`DivergentIntegralError`.
@@ -120,11 +124,14 @@ class DivergentIntegralError(QuadratureError):
 class _Rule(NamedTuple):
     """An embedded Gauss-Kronrod pair on [-1, 1]: the Kronrod nodes,
     ascending, their weights, and the Gauss weights at the same positions
-    (0 at the Kronrod-only nodes, which are the even positions)."""
+    (0 at the Kronrod-only nodes, which are the even positions).  A rule
+    hashes by identity, as a key of ``_panel``'s cache."""
 
     nodes: np.ndarray
     kronrod: np.ndarray
     gauss: np.ndarray
+
+    __hash__ = object.__hash__
 
 
 def _rule(nodes, kronrod, gauss) -> _Rule:
@@ -270,10 +277,8 @@ class QuadResult:
 
     def scaled(self, factor: float) -> "QuadResult":
         """The result of ``factor`` times the integrand."""
-        return replace(
-            self,
-            value=factor * self.value,
-            error_estimate=factor * self.error_estimate,
+        return QuadResult(
+            factor * self.value, factor * self.error_estimate, self.n_evals, self.converged
         )
 
 
@@ -338,14 +343,15 @@ _RULES = {1: _GK21, 2: _GK15}
 # Integrand protocol: f(*coords) -> values that broadcast against the coords.
 _Integrand = Callable[..., np.ndarray]
 
-# One axis's integrand over a block of rows: f(x, live, edges) takes the
-# nodes x[i, n] of the live rows (an index array or a slice) on the panels
-# between consecutive edges[i] and returns (values, aux) of shape
+# One axis's integrand over a block of rows: f(x, live, edges, outer) takes
+# the nodes x[i, n] of the live rows (an index array or a slice) on the
+# panels between consecutive edges[i] and returns (values, aux) of shape
 # (len(x), k, n): k components per row, all on the row's partition.  aux is
 # None or the absolute error carried by the values (the error estimates of
-# inner integrals, propagated outward).
+# inner integrals, propagated outward).  ``outer`` holds the coordinates of
+# the enclosing axes, each [rows, 1] or [rows, k] over all rows of the axis.
 _RowIntegrand = Callable[
-    [np.ndarray, "np.ndarray | slice", np.ndarray],
+    [np.ndarray, "np.ndarray | slice", np.ndarray, tuple[np.ndarray, ...]],
     tuple[np.ndarray, np.ndarray | None],
 ]
 
@@ -359,12 +365,16 @@ def _nodes(edges: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return x.reshape(len(x), -1), half[..., None]
 
 
-def _panel(a: float, b: float, rows: int, nodes: np.ndarray):
-    """``_nodes`` of the one panel [a, b] of each of ``rows`` rows, computed
-    once: (edges [rows, 2], nodes [rows, n], half-width)."""
+@functools.lru_cache(maxsize=64)
+def _panel(a: float, b: float, rows: int, rule: _Rule):
+    """``_nodes`` of the one panel [a, b] of each of ``rows`` rows: (edges
+    [rows, 2], nodes [rows, n], half-width).  Built on first use and shared,
+    read-only, by every integral that starts there."""
     half = 0.5 * (b - a)
-    x = half * nodes + 0.5 * (a + b)
-    return np.array([[a, b]] * rows), x[None].repeat(rows, 0), half
+    x = (half * rule.nodes + 0.5 * (a + b))[None].repeat(rows, 0)
+    edges = np.array([[a, b]] * rows)
+    edges.flags.writeable = x.flags.writeable = False
+    return edges, x, half
 
 
 def _sums(
@@ -390,12 +400,12 @@ def _sums(
 
 
 def _evaluate(
-    f: _RowIntegrand, edges: np.ndarray, live, run: _Run
+    f: _RowIntegrand, edges: np.ndarray, live, run: _Run, outer: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The run's pair on the panels between consecutive ``edges``
     [rows, h + 1] of the live rows, with a single f call (see ``_sums``)."""
     x, half = _nodes(edges, run.rule.nodes)
-    values, aux = f(x, live, edges)
+    values, aux = f(x, live, edges, outer)
     run.used += values.size
     return _sums(values, aux, half, run.rule)
 
@@ -412,7 +422,8 @@ def _check_records(panels, sums, k, outer) -> None:
     """Raise :class:`DivergentIntegralError` at a panel of the first row
     whose [value | error] sums are not finite: its first panel whose value
     or error is not finite, else (the sums overflowed) its panel of largest
-    value.  Every integrand value was finite."""
+    value.  Every integrand value was finite.  ``outer`` holds the outer
+    coordinates of each row, [rows, 1] or [rows, k] (one per component)."""
     rows = np.flatnonzero(~np.isfinite(sums).all(1))
     if not len(rows):
         return
@@ -425,13 +436,14 @@ def _check_records(panels, sums, k, outer) -> None:
     else:
         slot, col = np.unravel_index(np.abs(records[:, :k]).argmax(), (len(records), k))
     mid = 0.5 * (records[slot, 2 * k] + records[slot, 2 * k + 1])
-    raise DivergentIntegralError(outer(row, col % k) + (float(mid),))
+    point = [c[row, col % k if c.shape[1] > 1 else 0] for c in outer] + [mid]
+    raise DivergentIntegralError(tuple(map(float, point)))
 
 
 def _met(value: np.ndarray, error: np.ndarray, spec: QuadSpec) -> np.ndarray:
     """Per row: does every component meet the tolerance?"""
     ok = error <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
-    return ok[:, 0] if ok.shape[1] == 1 else ok.all(1)
+    return ok[:, 0] if ok.shape[1] == 1 else np.logical_and.reduce(ok, 1)
 
 
 def _start(
@@ -441,7 +453,7 @@ def _start(
     spec: QuadSpec,
     run: _Run,
     rows: int,
-    outer: Callable[[int, int], tuple[float, ...]],
+    outer: tuple[np.ndarray, ...],
     start: list[list[float]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Globally adaptive integration over (a, b) of ``rows`` independent
@@ -457,8 +469,8 @@ def _start(
     slots P - P_i .. P - 1, and value and error -0.0 in the slots before
     them, which add nothing to its sums (x + -0.0 == x).  A row whose sums
     meet the tolerance is done; so is every row once the budget is out.
-    The others bisect in ``_adaptive``.  ``outer(row, k)`` gives the outer
-    coordinates of a component, for error reports.
+    The others bisect in ``_adaptive``.  ``outer`` holds the coordinates of
+    the enclosing axes (see ``_RowIntegrand``), for ``f`` and error reports.
 
     Returns per-component (value, error_estimate), each [rows, k]: the sums
     that the row's last convergence test read, so ``converged`` speaks of
@@ -468,13 +480,13 @@ def _start(
     """
     place = sizes = None
     if start is None:
-        edges, x, half = _panel(a, b, rows, run.rule.nodes)
-        values, aux = f(x, slice(None), edges)
+        edges, x, half = _panel(a, b, rows, run.rule)
+        values, aux = f(x, slice(None), edges, outer)
         run.used += values.size
         value, err, aux = _sums(values, aux, half, run.rule)
     elif all(len(e) == len(start[0]) for e in start):
         edges = np.array(start)  # every row starts from p panels
-        value, err, aux = _evaluate(f, edges, slice(None), run)
+        value, err, aux = _evaluate(f, edges, slice(None), run, outer)
     else:
         # each start panel is a one-panel row of its own in the first round,
         # and takes the (slot, row) ``place`` in the records
@@ -485,31 +497,33 @@ def _start(
             [i for i, size in enumerate(sizes) for _ in range(size)],
         )
         edges = np.array([e[j : j + 2] for e in start for j in range(len(e) - 1)])
-        value, err, aux = _evaluate(f, edges, np.array(place[1]), run)
+        value, err, aux = _evaluate(f, edges, np.array(place[1]), run, outer)
     ea = err if aux is None else err + aux
     k = value.shape[2]
+    records = None
     if place is None and value.shape[1] == 1:
         # one start panel per row, whose numbers are its sums; a value that
         # is not finite makes its error not finite
-        records = None
         tv, te = value[:, 0], ea[:, 0]
-        if not math.isfinite(te.sum()):
-            _check_records(_records(value, ea, edges), np.hstack([tv, te]), k, outer)
+        finite = math.isfinite(te.sum())
     else:
-        records = _records(value, ea, edges)
         if sizes is None:
-            total = records[..., : 2 * k].sum(0)
+            # each row's panels in slot order, as the records would sum them:
+            # with 2k >= 2 columns innermost, numpy adds slot after slot
+            total = np.concatenate([value, ea], 2).sum(1)
         else:
-            records, pseudo = np.full((max(sizes), len(sizes), 2 * k + 2), -0.0), records
+            records = np.full((max(sizes), len(sizes), 2 * k + 2), -0.0)
             records[..., -1] = np.inf
-            records[place] = pseudo[0]
+            records[place] = _records(value, ea, edges)[0]
             total = records[..., : 2 * k].sum(0)
             # (a sum of one panel would turn -0.0 into 0.0)
             single = [i for i, size in enumerate(sizes) if size == 1]
             total[single] = records[-1, single, : 2 * k]
-        if not math.isfinite(total.sum()):
-            _check_records(records, total, k, outer)
+        finite = math.isfinite(total.sum())
         tv, te = total[:, :k], total[:, k:]
+    if not finite:
+        records = _records(value, ea, edges) if records is None else records
+        _check_records(records, np.concatenate([tv, te], 1), k, outer)
     done = _met(tv, te, spec)
     converged = int(np.count_nonzero(done))
     if converged == rows or run.exhausted:
@@ -519,8 +533,8 @@ def _start(
     # Only the rows that missed their tolerance bisect, from the sums just
     # tested; each takes the slots, sums and evaluations it would take alone.
     sub = np.flatnonzero(~done) if converged else slice(None)
-    if records is None:  # the one-panel test built none
-        records, total = _records(value, ea, edges), np.hstack([tv, te])
+    if records is None:  # only a ragged start has built them
+        records, total = _records(value, ea, edges), np.concatenate([tv, te], 1)
     starts = records[..., -1]
     if sizes is None:
         priority = ea[sub].max(2).T
@@ -551,7 +565,7 @@ def _adaptive(
     b: float,
     spec: QuadSpec,
     run: _Run,
-    outer: Callable[[int, int], tuple[float, ...]],
+    outer: tuple[np.ndarray, ...],
     records: np.ndarray,
     priority: np.ndarray,
     total: np.ndarray,
@@ -591,8 +605,7 @@ def _adaptive(
     panels = _blank(max(8, 2 * p), rows, width)
     panels[:p, :, :-1] = records
     panels[:p, :, -1] = priority
-    if ids is not None:
-        outer = lambda row, c, outer=outer: outer(ids[row], c)
+    records = panels.reshape(-1, width)  # a view: records[s * rows + i] is panels[s, i]
     every = slice(None)
     index = np.arange(rows)
     converged = 0
@@ -612,7 +625,7 @@ def _adaptive(
             out = [i for i, size in enumerate(sizes) if r - p + size >= limit]
             panels[:, out, -1] = -np.inf
         priority = panels[..., -1]
-        worst = priority.max(0)
+        worst = np.maximum.reduce(priority, 0)
         # a non-finite priority stops its row; the final sums report it
         go = np.isfinite(worst)
         n = np.count_nonzero(go)
@@ -624,7 +637,6 @@ def _adaptive(
         flat = np.where(top, panels[:, live, -2], np.inf).argmin(0)
         if rows > 1:
             flat = flat * rows + i
-        records = panels.reshape(-1, width)
         lo, hi = records[flat, -2], records[flat, -3]
         edges = np.array((lo, 0.5 * (lo + hi), hi)).T
         if r >= narrowing and not (edges[:, 1:] > edges[:, :-1]).all():
@@ -633,7 +645,7 @@ def _adaptive(
             continue
         run.splitting += 1
         try:
-            hv, he, ha = _evaluate(f, edges, live if ids is None else ids[live], run)
+            hv, he, ha = _evaluate(f, edges, live if ids is None else ids[live], run, outer)
         except _Dropped:
             break
         finally:
@@ -643,14 +655,14 @@ def _adaptive(
             panels = np.concatenate([panels, _blank(r, rows, width)])
             records = panels.reshape(-1, width)
         hea = he if ha is None else he + ha
-        worst = hea.max(2)
+        worst = np.maximum.reduce(hea, 2)
         halves = np.concatenate(
             [hv, hea, edges[:, 1:, None], edges[:, :-1, None], worst[..., None]], 2
         )
         records[flat] = halves[:, 0]
         panels[r, live] = halves[:, 1]
         # test the sums of each live row's partition (and its -0.0 pads)
-        sums = total[live] = panels[: r + 1, live, : 2 * k].sum(0)
+        sums = total[live] = np.add.reduce(panels[: r + 1, live, : 2 * k], 0)
         finished = _met(sums[:, :k], sums[:, k:], spec)
         m = int(np.count_nonzero(finished))
         if m:
@@ -661,7 +673,7 @@ def _adaptive(
 
     run.converged = run.converged and converged == rows
     if not math.isfinite(total.sum()):
-        _check_records(panels, total, k, outer)
+        _check_records(panels, total, k, outer if ids is None else [c[ids] for c in outer])
     return total, panels[: r + 1, :, -2]
 
 
@@ -678,10 +690,6 @@ Interval = tuple[float, float]
 Box2D = tuple[Interval, Interval]
 
 
-def _coords_of(fixed: tuple[np.ndarray, ...], row: int) -> tuple[float, ...]:
-    return tuple(float(c[row]) for c in fixed)
-
-
 def _iterated(
     g: _Integrand,
     groups: tuple[tuple[Interval, ...], ...],
@@ -691,7 +699,7 @@ def _iterated(
     rows: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iterated integrals of ``g(*fixed, *coords)`` over nested groups of
-    axes, one per row of the ``fixed`` coordinate arrays.
+    axes, one per row of the ``fixed`` coordinate columns [rows, 1].
 
     ``groups[0]`` holds one axis or a pair; a pair's inner axis is integrated
     for all nodes of an outer panel at once.  Every point of ``groups[0]``
@@ -716,7 +724,8 @@ def _iterated(
         values = np.asarray(g(*coords), dtype=float)
         # _sums depend on the memory layout: hand them a C-order grid
         if values.shape != shape or not values.flags.c_contiguous:
-            values = np.ascontiguousarray(np.broadcast_to(values, shape))
+            values, result = np.empty(shape), values
+            values[...] = result
         # a sum of finite values can overflow; only then look at each value
         if not math.isfinite(values.sum()) and not np.isfinite(values).all():
             idx = tuple(np.argwhere(~np.isfinite(values))[0])
@@ -725,54 +734,45 @@ def _iterated(
             )
         return values, None
 
+    def last(x, live, _, outer):
+        """The last axis: its nodes x after the outer coordinates."""
+        return leaf([c[live, :, None] for c in outer] + [x[:, None, :]])
+
     (lo, hi), *inner = groups[0]
-    if not inner:
-        def step(x, live, edges):
-            return leaf(tuple(c[live, None, None] for c in fixed) + (x[:, None, :],))
-    else:
+    if inner:
         ((vlo, vhi),) = inner
         # the final inner partition (a list of edges) of each row's outer
-        # panels, keyed by (row, left edge, right edge)
-        ends = {}
+        # panels, keyed by (row, left edge, right edge); none for a panel
+        # whose inner integrals ended on the one panel [vlo, vhi]
+        ends, whole = {}, [vlo, vhi]
 
-        def step(u, live, edges):
+        def step(u, live, edges, fixed):
             """The inner integrals at the outer nodes u of the live rows'
             panels between ``edges``: from [vlo, vhi] in the first round
             (two edges), from the split panel's partition in a split round
             (three)."""
-            fixed_u = tuple(c[live] for c in fixed)
-            ids = range(rows)[live] if isinstance(live, slice) else live.tolist()
-            e = edges.tolist()
-            seeds = None
-            if len(e[0]) == 3:
-                seeds = [ends.pop((i, lo, hi)) for i, (lo, _, hi) in zip(ids, e)]
-
-            def fv(v, live, _):
-                return leaf(
-                    tuple(c[live, None, None] for c in fixed_u)
-                    + (u[live, :, None], v[:, None, :])
-                )
-
+            keyed = seeds = None  # (row, edges) of each live row of a split round
+            if edges.shape[1] == 3:
+                ids = range(rows)[live] if isinstance(live, slice) else live.tolist()
+                keyed = list(zip(ids, edges.tolist()))
+                seeds = [ends.pop((i, lo, hi), whole) for i, (lo, _, hi) in keyed]
             value, error, lefts = _start(
-                fv, vlo, vhi, specs[0][1], run, len(u),
-                lambda r, k: _coords_of(fixed_u, r) + (float(u[r, k]),),
-                seeds,
+                last, vlo, vhi, specs[0][1], run, len(u),
+                [c[live] for c in fixed] + [u], seeds,
             )
-            if lefts is None:  # every row ended on its start partition
-                partitions = seeds or [[vlo, vhi]] * len(u)
-            else:
+            partitions = seeds  # a row that ended on its start partition keeps it
+            if lefts is not None:
                 partitions = np.sort(lefts, 0).T.tolist()
                 for partition in partitions:
                     if partition[-1] == math.inf:  # slots the row never filled
                         del partition[partition.index(math.inf) :]
                     partition.append(vhi)
-            for i, row, partition in zip(ids, e, partitions):
-                ends.update(((i, lo, hi), partition) for lo, hi in zip(row, row[1:]))
+            if partitions is not None:  # a first round runs every row on [lo, hi]
+                for (i, row), partition in zip(keyed or enumerate([[lo, hi]] * rows), partitions):
+                    ends.update(((i, lo, hi), partition) for lo, hi in zip(row, row[1:]))
             return value[:, None, :], error[:, None, :]
 
-    value, error, _ = _start(
-        step, lo, hi, specs[0][0], run, rows, lambda r, k: _coords_of(fixed, r)
-    )
+    value, error, _ = _start(step if inner else last, lo, hi, specs[0][0], run, rows, fixed)
     return value[:, 0], error[:, 0]
 
 
@@ -785,8 +785,8 @@ def _fan_out(g, groups, specs, run, coords) -> tuple[np.ndarray, np.ndarray]:
     take their first panels, so that every level has an estimate.
     """
     grid = np.broadcast_arrays(*coords)
-    points = [c.reshape(-1) for c in grid]
-    value = np.empty(points[0].size)
+    points = [c.reshape(-1, 1) for c in grid]
+    value = np.empty(len(points[0]))
     error = np.empty_like(value)
     for start in range(0, value.size, _BLOCK_ROWS):
         if run.exhausted and run.splitting:
@@ -799,20 +799,16 @@ def _fan_out(g, groups, specs, run, coords) -> tuple[np.ndarray, np.ndarray]:
     return value.reshape(grid[0].shape), error.reshape(grid[0].shape)
 
 
+@functools.lru_cache(maxsize=64)
 def _specs(spec: QuadSpec, groups) -> tuple[tuple[QuadSpec, ...], ...]:
     """One spec per axis, group by group: the inner axis of a pair 10x
     tighter than its outer axis, and the first axis of a group
     ``_GROUP_TIGHTENING`` times tighter than the last axis of the group
     outside it."""
-    return _specs_by_size(spec, tuple(len(group) for group in groups))
-
-
-@functools.lru_cache(maxsize=64)
-def _specs_by_size(spec: QuadSpec, sizes: tuple[int, ...]):
     specs = []
-    for size in sizes:
+    for group in groups:
         level = specs[-1][-1].tightened(_GROUP_TIGHTENING) if specs else spec
-        specs.append((level, level.tightened(10.0))[:size])
+        specs.append((level, level.tightened(10.0))[: len(group)])
     return tuple(specs)
 
 
@@ -834,12 +830,9 @@ def _sized(items, counts: tuple[int, ...], rule: str) -> tuple:
     return items
 
 
-def _integrate(
-    f: _Integrand,
-    groups: tuple[tuple[Interval, ...], ...],
-    spec: QuadSpec | None,
-) -> QuadResult:
-    """Public entry: check the intervals and run the core on ``f``."""
+@functools.lru_cache(maxsize=64)
+def _checked(groups) -> tuple[tuple[Interval, ...], ...]:
+    """``groups`` with every interval checked, its ends as floats."""
     checked = []
     for group in groups:
         pairs = []
@@ -858,12 +851,25 @@ def _integrate(
                 raise QuadratureError(f"invalid interval ({lo!r}, {hi!r})")
             pairs.append((lo, hi))
         checked.append(tuple(pairs))
+    return tuple(checked)
+
+
+def _integrate(
+    f: _Integrand,
+    groups: tuple[tuple[Interval, ...], ...],
+    spec: QuadSpec | None,
+) -> QuadResult:
+    """Public entry: check the intervals and run the core on ``f``."""
+    try:
+        groups = _checked(groups)
+    except TypeError:  # an unhashable interval (a list) is checked every time
+        groups = _checked.__wrapped__(groups)
     spec = spec or _DEFAULT_SPEC
-    run = _Run(spec.max_evals, _RULES[len(checked)])
+    run = _Run(spec.max_evals, _RULES[len(groups)])
     # panel sums may overflow on a divergent integrand; that raises
     # DivergentIntegralError, not a warning
     with np.errstate(all="ignore"):
-        value, err = _iterated(f, tuple(checked), _specs(spec, checked), run, (), 1)
+        value, err = _iterated(f, groups, _specs(spec, groups), run, (), 1)
     return QuadResult(
         float(value[0]), float(err[0]), run.used, run.converged and not run.exhausted
     )

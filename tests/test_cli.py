@@ -348,6 +348,31 @@ def test_normalize_row_counts_every_evaluation(tmp_path, capsys):
     assert row["n_evals"] == first["n_evals"] + density.mass.n_evals
 
 
+def test_a_density_negative_at_a_mass_node_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys, "bracket", "--domain", "square", "--rho", "x - 1/4", "--f", "x", "--h", "y",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: density 'x - 1/4' is negative at x = ")
+    assert ", y = " in err and len(err.splitlines()) == 1
+    # --no-normalize integrates no mass, so nothing checks the sign
+    code, out, _ = run_cli(
+        capsys, "bracket", "--domain", "square", "--rho", "x - 1/4", "--f", "x", "--h", "y",
+        "--no-normalize",
+    )
+    assert code == 0 and json.loads(out)["normalization_constant"] is None
+
+
+@pytest.mark.parametrize("kind", ["mass", "normalize", "bracket"])
+def test_a_density_negative_at_a_mass_node_fails_its_table_row(tmp_path, capsys, kind):
+    body = f"kind = {kind}\ndomain = sphere\nrho = cos(theta)\n"
+    if kind == "bracket":
+        body += "f = theta\nh = phi\n"
+    code, row = _one_row_table(tmp_path, capsys, body)
+    assert code == 2 and row["pass"] is False and row["converged"] is False
+    assert row["error"].startswith("density 'cos(theta)' is negative at theta = ")
+
+
 def test_bessel_overflow_is_a_typed_error(capsys):
     code, out, err = run_cli(
         capsys,

@@ -7,9 +7,11 @@ import math
 import pytest
 
 from densbrackets.expressions import DomainError, evaluate, parse
+from densbrackets.brackets import BracketProblem, bracket
 from densbrackets.geometry import (
     DOMAINS,
     GeometryError,
+    NegativeDensityError,
     NormalizationError,
     SPHERE,
     SQUARE,
@@ -18,7 +20,7 @@ from densbrackets.geometry import (
     domain_by_name,
     normalize,
 )
-from densbrackets.quadrature import QuadSpec
+from densbrackets.quadrature import _GK21, QuadSpec
 
 from oracles import (
     GAUSS_MASS_CONST_MEASURE,
@@ -132,6 +134,55 @@ def test_normalize_rejects_nonpositive_mass():
         normalize(SQUARE, parse("x - 1/2"))  # integrates to 0
     with pytest.raises(NormalizationError):
         normalize(SQUARE, parse("-1"))
+
+
+# The first K21 node of (0, 1), the first node of a 2-d mass integral on
+# the square in each axis.
+_FIRST_NODE = 0.5 + 0.5 * float(_GK21.nodes[0])
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda rho: density_mass(SQUARE, rho),
+        lambda rho: normalize(SQUARE, rho),
+        lambda rho: bracket(BracketProblem(SQUARE, parse("1"), rho, parse("x"), parse("y"))),
+    ],
+    ids=["mass", "normalize", "bracket"],
+)
+def test_a_density_negative_at_a_mass_node_is_rejected(run):
+    # x - 1/4 is negative at the first node (x0, x0), the first of the
+    # first integrand call in C order; its mass (1/4) alone would pass
+    with pytest.raises(NegativeDensityError) as err:
+        run(parse("x - 1/4"))
+    assert isinstance(err.value, NormalizationError)
+    assert err.value.point == (_FIRST_NODE, _FIRST_NODE)
+    assert str(err.value) == (
+        f"density 'x - 1/4' is negative at x = {_FIRST_NODE!r}, y = {_FIRST_NODE!r}; "
+        "a density is positive on its domain"
+    )
+
+
+def test_the_sign_check_names_every_coordinate_of_the_first_negative_node():
+    with pytest.raises(NegativeDensityError) as err:
+        density_mass(SPHERE, parse("cos(theta)"))
+    theta, phi = err.value.point
+    assert math.pi / 2 < theta < math.pi and 0.0 < phi < 2 * math.pi
+    assert f"theta = {theta!r}, phi = {phi!r}" in str(err.value)
+    # the weight sin(theta) >= 0 keeps the sign of rho
+    assert math.cos(theta) < 0.0
+
+
+def test_the_sign_check_sees_only_the_nodes():
+    # negative only within 1e-3 of x = 0.535, where no node of the first
+    # panel lies; there the density looks constant, and the mass passes
+    r = density_mass(SQUARE, parse("1 - 2*exp(-((x - 0.535)/0.001)^2)"))
+    assert r.converged and r.n_evals == 462 and r.value == 1.0
+    # without normalization no mass is integrated, so nothing is checked
+    b = bracket(
+        BracketProblem(SQUARE, parse("1"), parse("x - 1/4"), parse("x"), parse("y"), False)
+    )
+    assert b.normalization_constant is None and b.value == pytest.approx(0.25)
 
 
 def test_normalize_rejects_unresolved_mass():

@@ -495,6 +495,24 @@ def test_a_one_panel_2d_integral_makes_one_integrand_call():
     assert shapes == [(1, 21, 21)]
 
 
+def test_an_integrand_cannot_write_into_its_coordinates():
+    # The node grid of a one-panel start is shared by every integral that
+    # starts there: writing into it raises, and the next integral on the
+    # same box still gets its pinned numbers, so the grid is unchanged.
+    def shifts(x, y):
+        x += 1
+        return x * y
+
+    box = ((0, 1), (0, 1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_2d(shifts, box)
+        r = integrate_2d(lambda x, y: x * y + 1, box)
+        assert (r.value.hex(), r.error_estimate.hex(), r.n_evals, r.converged) == (
+            "0x1.4000000000000p+0", "0x1.175496f561a33p-53", 462, True
+        )
+
+
 def test_a_budget_below_the_first_panel_still_takes_it():
     spec = QuadSpec(max_evals=100)
     r = integrate_2d(lambda x, y: x * y + 1, ((0, 1), (0, 1)), spec)
@@ -518,9 +536,11 @@ _ROTATION_PATCH = AreaProblem(
 # (value, error_estimate, n_evals, converged), each value as float.hex(), of
 # runs through every branch of the pair driver: a first round that meets
 # both tolerances, an inner axis that bisects its first panel, outer split
-# rounds whose inner integrals start from seeded partitions, and the pair
-# blocks of a 3-d area.  A change to the driver that keeps the numbers keeps
-# every bit of them.
+# rounds whose inner integrals start from seeded partitions, the pair
+# blocks of a 3-d area, a seeded inner integral that misses its tolerance
+# and bisects, a 3-d block whose rows start from seeded partitions of
+# different sizes, and a 4-d budget that drops a split round.  A change to
+# the driver that keeps the numbers keeps every bit of them.
 @pytest.mark.parametrize(
     "run, bits",
     [
@@ -554,8 +574,47 @@ _ROTATION_PATCH = AreaProblem(
             lambda: area(_ROTATION_PATCH, QuadSpec(abs_tol=1e-3, rel_tol=1e-3)),
             ("0x1.3bd3cbd8325e2p+1", "0x1.231f4aa1d5b46p-14", 106215, True),
         ),
+        (
+            # a v-kink that only outer nodes near u = 0.612 see: the outer
+            # axis splits there, and the seeded inner integrals bisect
+            lambda: integrate_2d(
+                lambda u, v: np.sqrt(np.abs(u - 0.6))
+                + np.abs(v - 0.3) * np.maximum(0.0, 1 - np.abs(u - 0.612) / 0.01),
+                ((0, 1), (0, 1)),
+                QuadSpec(abs_tol=1e-6, rel_tol=1e-6),
+            ),
+            ("0x1.ecf286dc24dedp-2", "0x1.ff3e62c432af6p-21", 98910, True),
+        ),
+        (
+            lambda: integrate_4d(
+                lambda s, u, v: np.sqrt(np.abs(v - s)) * np.cos(u)
+                + np.sqrt(np.abs(u - s / 2)),
+                ((0.0, 1.0),),
+                ((0.0, 1.0), (0.0, 1.0)),
+                QuadSpec(abs_tol=1e-4, rel_tol=1e-4),
+            ),
+            ("0x1.f6dba822164ffp-1", "0x1.31ba8ac27cc4ep-15", 286875, True),
+        ),
+        (
+            lambda: integrate_4d(
+                lambda s, t, u, v: np.sqrt(np.abs(s - 1 / 3)) * np.cos(u * v) + t,
+                ((0.0, 1.0), (0.0, 1.0)),
+                ((0.0, 1.0), (0.0, 1.0)),
+                QuadSpec(abs_tol=1e-6, rel_tol=1e-6, max_evals=461040),
+            ),
+            ("0x1.edff723ca6546p-1", "0x1.1a441fb4bee8dp-13", 464160, False),
+        ),
     ],
-    ids=["one panel", "torus mass", "inner bisects", "outer splits", "rotation area"],
+    ids=[
+        "one panel",
+        "torus mass",
+        "inner bisects",
+        "outer splits",
+        "rotation area",
+        "seeded inner bisects",
+        "3-d seeds of several sizes",
+        "4-d budget drops a split round",
+    ],
 )
 def test_the_driver_keeps_its_numbers_bit_for_bit(run, bits):
     r = run()
@@ -728,12 +787,12 @@ def _block_against_rows(groups, spec, monkeypatch):
     specs = quadrature._specs(spec, groups)
     block = quadrature._Run(None, _RULES[len(groups)])
     rounds = _spy_on_rounds(monkeypatch)
-    value, error = quadrature._iterated(g, groups, specs, block, (c,), len(c))
+    value, error = quadrature._iterated(g, groups, specs, block, (c[:, None],), len(c))
     monkeypatch.undo()
     used = 0
     for i in range(len(c)):
         alone = quadrature._Run(None, _RULES[len(groups)])
-        v, e = quadrature._iterated(g, groups, specs, alone, (c[i : i + 1],), 1)
+        v, e = quadrature._iterated(g, groups, specs, alone, (c[i : i + 1, None],), 1)
         assert (v[0], e[0]) == (value[i], error[i])
         used += alone.used
     assert block.used == used
