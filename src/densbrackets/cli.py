@@ -106,39 +106,8 @@ class CliInputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose subcommands share one record of the flags
-    that take a value."""
-
-    def __init__(self, *args, value_flags: set[str] | None = None, **kwargs):
-        self.value_flags = set() if value_flags is None else value_flags
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.nargs is None:  # one value
-            self.value_flags.update(action.option_strings)
-        return action
-
     def error(self, message):  # route argparse failures to exit code 1
         raise CliInputError(message)
-
-    def glue_values(self, argv: list[str]) -> list[str]:
-        """``--f -x`` as ``--f=-x``.  argparse takes a value that starts with
-        '-' for an option unless it is a plain negative number, so ``-x``
-        and ``-1e-3`` would leave their flag without a value."""
-        glued: list[str] = []
-        for arg in argv:
-            if (
-                glued
-                and glued[-1] in self.value_flags
-                and arg.startswith("-")
-                and not arg.startswith("--")
-                and arg != "-h"
-            ):
-                glued[-1] += "=" + arg
-            else:
-                glued.append(arg)
-        return glued
 
 
 def _parse_expr(text: str, what: str) -> Expr:
@@ -239,6 +208,29 @@ def _flag(key: str) -> str:
     return "--" + key.removeprefix("quad_").replace("_", "-")
 
 
+# The flags that take a value: every command flag but --no-normalize.
+_VALUE_FLAGS = {_flag(k) for k in _KEYS if k not in _NOT_FLAGS + ("normalize",)}
+
+
+def _glue_values(argv: list[str]) -> list[str]:
+    """``--f -x`` as ``--f=-x``.  argparse takes a value that starts with
+    '-' for an option unless it is a plain negative number, so ``-x`` and
+    ``-1e-3`` would leave their flag without a value."""
+    glued: list[str] = []
+    for arg in argv:
+        if (
+            glued
+            and glued[-1] in _VALUE_FLAGS
+            and arg.startswith("-")
+            and not arg.startswith("--")
+            and arg != "-h"
+        ):
+            glued[-1] += "=" + arg
+        else:
+            glued.append(arg)
+    return glued
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="densbrackets",
@@ -248,12 +240,11 @@ def _build_parser() -> _Parser:
         "--version", action="version", version=f"densbrackets {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    shared = {"value_flags": parser.value_flags}
     for kind, about in (
         ("bracket", "Poisson bracket of two functionals"),
         ("area", "symplectic area of a leaf patch"),
     ):
-        command = sub.add_parser(kind, help=about, **shared)
+        command = sub.add_parser(kind, help=about)
         for key in _KIND_KEYS[kind]:
             if key in _NOT_FLAGS:
                 continue
@@ -270,9 +261,7 @@ def _build_parser() -> _Parser:
                 flag, dest=key, required=default is _REQUIRED, help=help_text, **extra
             )
 
-    t = sub.add_parser(
-        "table", help="run a batch config, one JSON line per job", **shared
-    )
+    t = sub.add_parser("table", help="run a batch config, one JSON line per job")
     t.add_argument("config", help="path to an INI-style job file")
 
     return parser
@@ -445,9 +434,7 @@ def run_table(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(
-            parser.glue_values(sys.argv[1:] if argv is None else argv)
-        )
+        args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
         if args.command == "table":
             return run_table(args)
         return _run_command(args)

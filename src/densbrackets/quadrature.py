@@ -46,15 +46,17 @@ nodes times each row's inner start partition (the one inner panel in the
 first round, the seeded partition in a split round).  The inner sums are
 taken from that grid, and in the first round the outer sums too, with the
 same products in the same slot order as every other round.  Every axis,
-the outer axis of a pair included, starts in ``_start``, which makes its
-first integrand call and tests it; a one-panel start takes its node grid
-from a cache (``_panel``).  A row whose sums meet its tolerance on its start
-partition returns them and never enters the bisection loop (``_adaptive``);
-only the rows that missed it build panel records and bisect, from the sums
-already tested, so no value is computed twice.  A pair keeps no inner
-partition for an outer panel whose inner integrals ended on their one
-panel.  A 2-d integral whose first panel meets both tolerances makes one
-integrand call, on a 21 x 21 grid.
+the outer axis of a pair included, runs in one ``_start`` call, which makes
+its first integrand call, tests it and then bisects; a one-panel start
+takes its node grid from a cache (``_panel``).  If every row's sums meet
+its tolerance on its start partition, ``_start`` returns them and builds no
+panel records.  Else every row's start panels become the first records of
+its partition: a row that met its tolerance is not bisected (its panels sit
+at priority -inf, as those of a row done later do), and the others bisect
+from the sums already tested, so no value is computed twice.  A pair keeps
+no inner partition for an outer panel whose inner integrals ended on their
+one panel.  A 2-d integral whose first panel meets both tolerances makes
+one integrand call, on a 21 x 21 grid.
 
 An evaluation budget stops the run after the round in flight.  An outer
 split round whose inner integrals have not all started is dropped, and its
@@ -469,8 +471,18 @@ def _start(
     slots P - P_i .. P - 1, and value and error -0.0 in the slots before
     them, which add nothing to its sums (x + -0.0 == x).  A row whose sums
     meet the tolerance is done; so is every row once the budget is out.
-    The others bisect in ``_adaptive``.  ``outer`` holds the coordinates of
-    the enclosing axes (see ``_RowIntegrand``), for ``f`` and error reports.
+
+    Then every row's start panels become the first records of its
+    partition, and the rows not done bisect, from the sums already tested.
+    The start panels count as P_i - 1 bisections against
+    ``max_subdivisions``, so a row never holds more than ``max_subdivisions
+    + 1`` panels.  Every round, each unconverged row bisects its worst
+    splittable panel (largest error, the leftmost on ties).  A budget that
+    runs out stops the loop after the round in flight.  After each round, a
+    row whose panel sums meet the tolerance is done; no running total is
+    kept, so that one huge panel cannot absorb the others.  ``outer`` holds
+    the coordinates of the enclosing axes (see ``_RowIntegrand``), for
+    ``f`` and error reports.
 
     Returns per-component (value, error_estimate), each [rows, k]: the sums
     that the row's last convergence test read, so ``converged`` speaks of
@@ -522,80 +534,25 @@ def _start(
         finite = math.isfinite(total.sum())
         tv, te = total[:, :k], total[:, k:]
     if not finite:
-        records = _records(value, ea, edges) if records is None else records
-        _check_records(records, np.concatenate([tv, te], 1), k, outer)
+        panels = _records(value, ea, edges) if records is None else records
+        _check_records(panels, np.concatenate([tv, te], 1), k, outer)
     done = _met(tv, te, spec)
     converged = int(np.count_nonzero(done))
     if converged == rows or run.exhausted:
         run.converged = run.converged and converged == rows
         return tv, te, None
 
-    # Only the rows that missed their tolerance bisect, from the sums just
-    # tested; each takes the slots, sums and evaluations it would take alone.
-    sub = np.flatnonzero(~done) if converged else slice(None)
+    # Every row's start panels enter the partition; a row that met its
+    # tolerance there is done, at priority -inf like a row done later.
     if records is None:  # only a ragged start has built them
         records, total = _records(value, ea, edges), np.concatenate([tv, te], 1)
-    starts = records[..., -1]
     if sizes is None:
-        priority = ea[sub].max(2).T
+        priority = ea.max(2).T
     else:
         priority = np.full(records.shape[:2], -np.inf)
         priority[place] = ea.max(2)[:, 0]
-        priority = priority[:, sub]
-        sizes = sizes if not converged else [sizes[i] for i in sub.tolist()]
-    records, total = records[:, sub], total[sub]
-    narrowest = (edges[:, 1:] - edges[:, :-1]).min()
-    ids = sub if converged else None
-    sums, lefts = _adaptive(
-        f, a, b, spec, run, outer, records, priority, total, sizes, narrowest, ids
-    )
-    tv[sub], te[sub] = sums[:, :k], sums[:, k:]
-    if converged:
-        # the rows that met the tolerance end on their start panels
-        full = np.full((len(lefts), rows), np.inf)
-        full[: len(starts)] = starts
-        full[:, sub] = lefts
-        lefts = full
-    return tv, te, lefts
-
-
-def _adaptive(
-    f: _RowIntegrand,
-    a: float,
-    b: float,
-    spec: QuadSpec,
-    run: _Run,
-    outer: tuple[np.ndarray, ...],
-    records: np.ndarray,
-    priority: np.ndarray,
-    total: np.ndarray,
-    sizes: list[int] | None,
-    narrowest: float,
-    ids: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Globally adaptive bisection over (a, b) of rows that missed their
-    tolerance on their start panels, advanced in lockstep with one ``f``
-    call per round.
-
-    ``records`` [p, rows, 2k + 2] are the start panels, slot-major, as
-    ``_start`` lays them out, ``priority`` [p, rows] their largest error
-    (-inf in the -0.0 slots), ``total`` [rows, 2k] each row's [value |
-    error] sums, and ``sizes`` each row's number of start panels (None: p
-    each).  The start panels count as P_i - 1 bisections against
-    ``max_subdivisions``, so a row never holds more than ``max_subdivisions
-    + 1`` panels.  Every round, each unconverged row bisects its worst
-    splittable panel (largest error, the leftmost on ties).  A budget that
-    runs out stops the loop after the round in flight.  After each round, a
-    row whose panel sums meet the tolerance is done; no running total is
-    kept, so that one huge panel cannot absorb the others.  ``narrowest``
-    is the width of the narrowest start panel of any row, and ``ids[i]``
-    the row of the caller that row i is (None: row i), for ``f`` and
-    ``outer``.  Returns each row's final sums [rows, 2k] and the left edges
-    of its final panels in slot order, [slots, rows], with inf in slots a
-    row never filled.
-    """
-    p, rows, _ = records.shape
-    k = total.shape[1] // 2
+    priority[:, done] = -np.inf
+    p = len(records)
     # The partition, slot-major: panels[s, i] is the record of the panel in
     # slot s of row i, [value | error | right | left | priority].  A split's
     # left half keeps its panel's slot and the right half of round r takes
@@ -606,14 +563,13 @@ def _adaptive(
     panels[:p, :, :-1] = records
     panels[:p, :, -1] = priority
     records = panels.reshape(-1, width)  # a view: records[s * rows + i] is panels[s, i]
-    every = slice(None)
     index = np.arange(rows)
-    converged = 0
     # Bisection keeps every panel d bisections below a start panel of width
     # w at least w / 2**d - eps M wide, M = max(|a|, |b|), and a panel wider
     # than 2 eps M is splittable: until round `narrowing`, counted from the
     # narrowest start panel of any row, no panel can be too narrow to
     # bisect, and the test for one is skipped.
+    narrowest = (edges[:, 1:] - edges[:, :-1]).min()
     narrowing = p - 1 + math.log2(narrowest / (4 * _EPS * max(abs(a), abs(b)) + 1e-300))
     r = p - 1  # every live row i has split r - (p - P_i) times
 
@@ -631,7 +587,7 @@ def _adaptive(
         n = np.count_nonzero(go)
         if not n:
             break
-        live = every if n == rows else np.flatnonzero(go)
+        live = slice(None) if n == rows else np.flatnonzero(go)
         i = index[live]
         top = priority[:, live] == worst[live]
         flat = np.where(top, panels[:, live, -2], np.inf).argmin(0)
@@ -645,7 +601,7 @@ def _adaptive(
             continue
         run.splitting += 1
         try:
-            hv, he, ha = _evaluate(f, edges, live if ids is None else ids[live], run, outer)
+            hv, he, ha = _evaluate(f, edges, live, run, outer)
         except _Dropped:
             break
         finally:
@@ -673,8 +629,8 @@ def _adaptive(
 
     run.converged = run.converged and converged == rows
     if not math.isfinite(total.sum()):
-        _check_records(panels, total, k, outer if ids is None else [c[ids] for c in outer])
-    return total, panels[: r + 1, :, -2]
+        _check_records(panels, total, k, outer)
+    return total[:, :k], total[:, k:], panels[: r + 1, :, -2]
 
 
 def _blank(cap: int, rows: int, width: int) -> np.ndarray:

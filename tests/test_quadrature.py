@@ -532,6 +532,12 @@ _ROTATION_PATCH = AreaProblem(
     weight_mode="measure",
 )
 
+# The paper's patch in literal mode: its pole at theta = 1 - s moves with s.
+_PAPER_PATCH = replace(
+    _ROTATION_PATCH,
+    flow=FlowMap(theta_map=parse("arccos(theta + s)"), phi_map=parse("phi + t")),
+    weight_mode="literal",
+)
 
 # (value, error_estimate, n_evals, converged), each value as float.hex(), of
 # runs through every branch of the pair driver: a first round that meets
@@ -539,8 +545,11 @@ _ROTATION_PATCH = AreaProblem(
 # rounds whose inner integrals start from seeded partitions, the pair
 # blocks of a 3-d area, a seeded inner integral that misses its tolerance
 # and bisects, a 3-d block whose rows start from seeded partitions of
-# different sizes, and a 4-d budget that drops a split round.  A change to
-# the driver that keeps the numbers keeps every bit of them.
+# different sizes, blocks where some rows meet their tolerance on their
+# start partition while the others bisect (the paper's patch: one such
+# block starts from one panel, three from seeds of different sizes), and a
+# 4-d budget that drops a split round.  A change to the driver that keeps
+# the numbers keeps every bit of them.
 @pytest.mark.parametrize(
     "run, bits",
     [
@@ -596,6 +605,10 @@ _ROTATION_PATCH = AreaProblem(
             ("0x1.f6dba822164ffp-1", "0x1.31ba8ac27cc4ep-15", 286875, True),
         ),
         (
+            lambda: area(_PAPER_PATCH, QuadSpec(abs_tol=1e-3, rel_tol=1e-3)),
+            ("0x1.a684555701213p+1", "0x1.5fc82936a313ap-12", 85575, True),
+        ),
+        (
             lambda: integrate_4d(
                 lambda s, t, u, v: np.sqrt(np.abs(s - 1 / 3)) * np.cos(u * v) + t,
                 ((0.0, 1.0), (0.0, 1.0)),
@@ -613,6 +626,7 @@ _ROTATION_PATCH = AreaProblem(
         "rotation area",
         "seeded inner bisects",
         "3-d seeds of several sizes",
+        "rows done on their start partition beside rows that bisect",
         "4-d budget drops a split round",
     ],
 )
@@ -655,6 +669,45 @@ def test_errors_on_the_first_grid_of_a_3d_block_report_every_coordinate():
         "0x1.17fd8acbd93c0p-8",
         "0x1.0000000000000p-1",
     )
+
+
+@pytest.mark.parametrize(
+    "singular, error, point",
+    [
+        (
+            lambda u, v: np.where(u < 1e-7, np.nan, np.abs(u) ** -0.5) * (1 + v),
+            NonFiniteIntegrandError,
+            ("0x1.353165125c18fp-1", "0x1.17fd8acbd93c0p-24", "0x1.17fd8acbd93c0p-8"),
+        ),
+        (
+            lambda u, v: 1 / u * (1 + v),
+            DivergentIntegralError,
+            ("0x1.353165125c18fp-1", "0x0.8bfec565ec9e0p-1022", "0x1.0000000000000p-1"),
+        ),
+        (
+            # finite values: each row's first-round sums are finite though
+            # their total overflows, and a row's sums overflow once it
+            # bisects, so the bisection loop's own check raises
+            lambda u, v: np.where(v < 0.45, 1.7e308, 0.0) + 0.0 * u,
+            DivergentIntegralError,
+            ("0x1.353165125c18fp-1", "0x1.17fd8acbd93c0p-8", "0x1.0000000000000p-2"),
+        ),
+    ],
+    ids=["not finite", "divergent", "overflows after bisection"],
+)
+def test_a_late_error_names_the_row_that_raised_it(singular, error, point):
+    # The (u, v) integrals of the 15 s-nodes run as one block.  The 8 rows
+    # with s <= 0.5 integrate 1 and meet their tolerance in the first round;
+    # the others bisect, and the first of them, s = 0.6039, raises.  The
+    # point names that row's own s: the rows that bisect reach the integrand
+    # and the error report as the rows of the block they are.
+    def f(s, u, v):
+        with np.errstate(all="ignore"):
+            return np.where(s > 0.5, singular(u, v), 1.0)
+
+    with pytest.raises(error) as err:
+        integrate_4d(f, ((0, 1),), ((0, 1), (0, 1)), QuadSpec(1e-6, 1e-6))
+    assert tuple(x.hex() for x in err.value.point) == point
 
 
 # -- 4-d ---------------------------------------------------------------------------
@@ -803,9 +856,10 @@ def _spy_on_rounds(monkeypatch):
     """Record, for every round of every axis, the start panel count of each
     row of the inner integrals that the round runs.
 
-    A split round is an ``_evaluate`` call from ``_adaptive``, and the inner
-    integrals it runs start in ``_start`` from seeded partitions, whose own
-    first round (an ``_evaluate`` call too) belongs to that split round.
+    A split round is an ``_evaluate`` call from the bisection loop of
+    ``_start``, and the inner integrals it runs start in ``_start`` from
+    seeded partitions, whose own first round (an ``_evaluate`` call too)
+    belongs to that split round.
     Integrals that start from one panel evaluate it without ``_evaluate``:
     that ``_start`` call is a round of its own, except for the outer axis of
     a pair, whose integrand starts the inner integrals itself: its first
