@@ -225,8 +225,10 @@ def area(problem: AreaProblem, spec: QuadSpec | None = None) -> QuadResult:
     and theta run at /3 and /30, and the result is multiplied by ``|I2|``;
     the absolute tolerance is divided by ``|I2|`` so that it still holds on
     the 4-d scale, and kept between the smallest and the largest positive
-    double.  A non-converged result (tolerance or budget exhausted) is
-    returned with ``converged=False`` rather than raised.
+    double.  A result that stops short of its tolerance (out of bisections
+    or of the evaluation budget) is returned with ``converged=False``
+    rather than raised; a budget that runs out once every integral met its
+    tolerance leaves the result converged.
     """
     problem.validate()
     spec = _default_spec(spec)

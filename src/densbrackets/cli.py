@@ -3,8 +3,10 @@
 Every command writes exactly one JSON document to stdout (JSON lines for
 ``table``); diagnostics go to stderr.  Exit codes: 0 success, 1 input error
 (a density negative at a node of its mass integral included), 2 ran but
-did not converge: no usable mass, a likely divergent integral, or (for
-``table``) not all jobs passed.
+did not converge: an integral stopped short of its tolerance (out of
+bisections or of the evaluation budget), no usable mass, a likely
+divergent integral, or (for ``table``) not all jobs passed.  A count that
+reaches the budget after every integral met its tolerance is a success.
 
 Numeric flags accept expressions without free variables, so ``--s-lo pi/4``
 works; integer flags and keys must evaluate to a finite integer.  Expression

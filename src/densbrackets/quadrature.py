@@ -58,11 +58,13 @@ no inner partition for an outer panel whose inner integrals ended on their
 one panel.  A 2-d integral whose first panel meets both tolerances makes
 one integrand call, on a 21 x 21 grid.
 
-An evaluation budget stops the run after the round in flight.  An outer
-split round whose inner integrals have not all started is dropped, and its
-level keeps the estimate it had: once the budget is out, no further block
-starts.  Before any level has an estimate, the inner integrals still to
-start take their first panel only.
+An evaluation budget is checked between rounds, by one rule at every
+level: once it is out, no axis starts another round, and the round in
+flight finishes.  Every integral that starts takes its first round, so the
+inner integrals of an outer round in flight that had not started still run
+their first round only.  ``converged`` speaks of tolerances only: it is
+True exactly when every integral met its tolerance, whether or not the
+count reached the budget.
 
 Integrands are numpy-broadcasting callables ``f(*coords)``, such as the
 kernels of :func:`densbrackets.expressions.compile_expr`: every coordinate,
@@ -232,9 +234,9 @@ class QuadSpec:
     integrals fed to outer levels).  The cap is checked between rounds: the
     round in flight finishes, so the count may overshoot it by one round of
     the rows of one block (the first round of a seeded inner integral
-    evaluates each row's whole start partition), and by the first panels of
-    inner integrals that had not started while no level had an estimate
-    yet.
+    evaluates each row's whole start partition), plus the first rounds of
+    the integrals that start after the budget ran out.  A result is
+    converged if every integral met its tolerance, budget or not.
     """
 
     abs_tol: float = 1e-10
@@ -289,27 +291,21 @@ class _Run:
 
     ``rule`` is the Gauss-Kronrod pair of every axis; ``used`` counts
     evaluations against the budget ``limit``; ``converged`` is cleared by
-    any integral, at any level, that stops short of its tolerance;
-    ``splitting`` counts the enclosing levels that are in a split round and
-    so have an estimate to fall back on.
+    any integral, at any level, that stops short of its tolerance, and by
+    nothing else.
     """
 
-    __slots__ = ("rule", "used", "limit", "converged", "splitting")
+    __slots__ = ("rule", "used", "limit", "converged")
 
     def __init__(self, limit: int | None, rule: _Rule):
         self.rule = rule
         self.used = 0
         self.limit = limit
         self.converged = True
-        self.splitting = 0
 
     @property
     def exhausted(self) -> bool:
         return self.limit is not None and self.used >= self.limit
-
-
-class _Dropped(Exception):
-    """The budget ran out before every inner integral of a split round began."""
 
 
 # Outer points of the 3- and 4-d cases run their inner integrals in blocks
@@ -599,13 +595,7 @@ def _start(
             narrow = (edges[:, 1:] <= edges[:, :-1]).any(1)
             records[flat[narrow], -1] = -np.inf
             continue
-        run.splitting += 1
-        try:
-            hv, he, ha = _evaluate(f, edges, live, run, outer)
-        except _Dropped:
-            break
-        finally:
-            run.splitting -= 1
+        hv, he, ha = _evaluate(f, edges, live, run, outer)
         r += 1
         if r == len(panels):
             panels = np.concatenate([panels, _blank(r, rows, width)])
@@ -660,8 +650,9 @@ def _iterated(
     ``groups[0]`` holds one axis or a pair; a pair's inner axis is integrated
     for all nodes of an outer panel at once.  Every point of ``groups[0]``
     runs one integral over ``groups[1:]``; these run in blocks of
-    ``_BLOCK_ROWS`` rows.  ``specs`` holds one spec per axis, group by group.
-    Returns per-row (value, error_estimate).
+    ``_BLOCK_ROWS`` rows, and once the budget is out, each block still to
+    run takes its first round only.  ``specs`` holds one spec per axis,
+    group by group.  Returns per-row (value, error_estimate).
 
     Each round of a pair is one tensor step: one call of the integrand on
     the outer nodes times each row's inner start partition, from which the
@@ -675,7 +666,18 @@ def _iterated(
 
     def leaf(coords):
         if len(groups) > 1:
-            return _fan_out(g, groups[1:], specs[1:], run, coords)
+            # the integrals over groups[1:] at every point of the coords
+            grid = np.broadcast_arrays(*coords)
+            points = [c.reshape(-1, 1) for c in grid]
+            value = np.empty(len(points[0]))
+            error = np.empty_like(value)
+            for start in range(0, value.size, _BLOCK_ROWS):
+                block = slice(start, start + _BLOCK_ROWS)
+                fixed = tuple(c[block] for c in points)
+                value[block], error[block] = _iterated(
+                    g, groups[1:], specs[1:], run, fixed, len(fixed[0])
+                )
+            return value.reshape(grid[0].shape), error.reshape(grid[0].shape)
         shape = np.broadcast(*coords).shape
         values = np.asarray(g(*coords), dtype=float)
         # _sums depend on the memory layout: hand them a C-order grid
@@ -730,29 +732,6 @@ def _iterated(
 
     value, error, _ = _start(step if inner else last, lo, hi, specs[0][0], run, rows, fixed)
     return value[:, 0], error[:, 0]
-
-
-def _fan_out(g, groups, specs, run, coords) -> tuple[np.ndarray, np.ndarray]:
-    """Values and errors of the integrals over ``groups`` at every point of
-    the broadcast ``coords``, in blocks of ``_BLOCK_ROWS`` rows.
-
-    Once the budget is out, a split round in flight is dropped instead of
-    starting more blocks; without one to drop, the remaining blocks still
-    take their first panels, so that every level has an estimate.
-    """
-    grid = np.broadcast_arrays(*coords)
-    points = [c.reshape(-1, 1) for c in grid]
-    value = np.empty(len(points[0]))
-    error = np.empty_like(value)
-    for start in range(0, value.size, _BLOCK_ROWS):
-        if run.exhausted and run.splitting:
-            raise _Dropped
-        block = slice(start, start + _BLOCK_ROWS)
-        fixed = tuple(c[block] for c in points)
-        value[block], error[block] = _iterated(
-            g, groups, specs, run, fixed, len(fixed[0])
-        )
-    return value.reshape(grid[0].shape), error.reshape(grid[0].shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -826,9 +805,7 @@ def _integrate(
     # DivergentIntegralError, not a warning
     with np.errstate(all="ignore"):
         value, err = _iterated(f, groups, _specs(spec, groups), run, (), 1)
-    return QuadResult(
-        float(value[0]), float(err[0]), run.used, run.converged and not run.exhausted
-    )
+    return QuadResult(float(value[0]), float(err[0]), run.used, run.converged)
 
 
 def integrate_2d(
@@ -863,7 +840,8 @@ def integrate_4d(
     the integral 3-d: ``f(s, u, v)``, by the same rule (``spec`` on s, 3x
     and 30x tighter on u and v).  The evaluation
     budget (``spec.max_evals``) is shared by all levels; exhausting it yields
-    the best estimate with ``converged=False``.
+    the best estimate, with ``converged=False`` if it cut an integral short
+    of its tolerance.
     """
     outer_box = _sized(outer_box, (1, 2), "the outer box has 1 or 2 axes")
     inner_box = _sized(inner_box, (2,), "the inner box has 2 axes")

@@ -305,13 +305,13 @@ def test_area_budget_in_the_first_outer_round_still_estimates(monkeypatch):
     # In the 4-d core, the paper's patch converges in one outer (s, t)
     # round, so the budget runs out while that round's 15 x 15 outer points
     # fan out.  The round in flight of one block finishes (see the 4-d
-    # budget test in test_quadrature), and as no level has an estimate to
-    # fall back on yet, each outer point that has not started takes its
-    # first inner panel (15 x 15 points and 15 results).  That round is the
-    # overshoot QuadSpec documents: per row, the theta integral of the 30
-    # phi nodes of a split round evaluates 2 panels, or, in its first
-    # round, its whole seeded start partition.  Every theta integral starts
-    # in _start.
+    # budget test in test_quadrature), and each outer point that has not
+    # started takes its first round, as every integral that starts does
+    # (15 x 15 points and 15 results).  Those first rounds and the round in
+    # flight are the overshoot QuadSpec documents: per row, the theta
+    # integral of the 30 phi nodes of a split round evaluates 2 panels, or,
+    # in its first round, its whole seeded start partition.  Every theta
+    # integral starts in _start.
     largest_start = []
     start_ = quadrature._start
 

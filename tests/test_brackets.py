@@ -122,6 +122,15 @@ def test_no_normalize_scales_by_raw_mass():
     assert raw.normalization_constant is None
 
 
+def test_a_budget_that_cuts_nothing_short_keeps_the_result_converged():
+    # table1 row2: the mass and the bracket each meet their tolerances on
+    # their first panel (462 evaluations each), past a budget of 100
+    p = _problem(SQUARE, "1", "(3/2)*(x^2 + y^2)", "x + y", "x^2 - y^2")
+    r = bracket(p, QuadSpec(max_evals=100))
+    assert (r.value, r.n_evals, r.converged) == (-2.5000000000000004, 924, True)
+    assert r == bracket(p)
+
+
 def test_mass_lost_in_noise_raises():
     # integrates to 0: the computed mass is far below its error estimate
     with pytest.raises(NormalizationError):

@@ -310,11 +310,26 @@ def test_bracket_command_matches_table_row(tmp_path, capsys):
     assert all(single[k] == row[k] for k in _RESULT_KEYS)
 
 
-def test_area_command_matches_table_row(tmp_path, capsys):
-    # a theta_map that uses t keeps the 4-d path, where the budget runs out
-    code, out, _ = run_cli(
+_GAUSS = "exp(-(1/4)*(sin(theta)/(1 - cos(theta)))^4*sin(2*phi)^2)/0.7082398710282987"
+
+
+@pytest.mark.parametrize(
+    "rho, n_evals, code",
+    [
+        # every integral meets its tolerance in its first round: the count
+        # passes the budget, which cuts nothing short
+        ("1 + sin(theta)^2/2", 54240, 0),
+        # the Gaussian needs rounds that the budget stops
+        (_GAUSS, 75840, 2),
+    ],
+    ids=["met in the first round", "cut short"],
+)
+def test_area_command_matches_table_row(tmp_path, capsys, rho, n_evals, code):
+    # a theta_map that uses t keeps the 4-d path, where the count passes the
+    # budget of 20,000
+    cli_code, out, _ = run_cli(
         capsys,
-        "area", "--rho", "1 + sin(theta)^2/2", "--theta-map", "arccos(theta + s*t)",
+        "area", "--rho", rho, "--theta-map", "arccos(theta + s*t)",
         "--phi-map", "phi + t", "--s-lo", "pi/4", "--s-hi", "3*pi/4",
         "--t-lo", "pi/4", "--t-hi", "3*pi/4", "--weight-mode", "literal",
         "--abs-tol", "1e-9", "--rel-tol", "1e-9", "--max-evals", "20000",
@@ -322,13 +337,13 @@ def test_area_command_matches_table_row(tmp_path, capsys):
     single = json.loads(out)
     row_code, row = _one_row_table(
         tmp_path, capsys,
-        "kind = area\nrho = 1 + sin(theta)^2/2\ntheta_map = arccos(theta + s*t)\n"
+        f"kind = area\nrho = {rho}\ntheta_map = arccos(theta + s*t)\n"
         "phi_map = phi + t\ns_lo = pi/4\ns_hi = 3*pi/4\nt_lo = pi/4\nt_hi = 3*pi/4\n"
         "weight_mode = literal\nquad_abs_tol = 1e-9\nquad_rel_tol = 1e-9\n"
         "quad_max_evals = 20000\n",
     )
-    assert single["converged"] is False  # the budget ran out
-    assert code == row_code == 2
+    assert cli_code == row_code == code
+    assert (single["n_evals"], single["converged"]) == (n_evals, code == 0)
     assert single["area"] == row["value"]
     assert single["weight_mode"] == row["weight_mode"] == "literal"
     assert all(single[k] == row[k] for k in _RESULT_KEYS)

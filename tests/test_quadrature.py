@@ -516,7 +516,8 @@ def test_an_integrand_cannot_write_into_its_coordinates():
 def test_a_budget_below_the_first_panel_still_takes_it():
     spec = QuadSpec(max_evals=100)
     r = integrate_2d(lambda x, y: x * y + 1, ((0, 1), (0, 1)), spec)
-    assert (r.value, r.n_evals, r.converged) == (1.25, 462, False)
+    # the first panel meets both tolerances: the budget cut nothing short
+    assert (r.value, r.n_evals, r.converged) == (1.25, 462, True)
 
 
 # The rotation flow of the paper's Gaussian density in measure mode: its
@@ -539,6 +540,13 @@ _PAPER_PATCH = replace(
     weight_mode="literal",
 )
 
+# A flow whose inner sphere integral depends on t, so the area runs the 4-d
+# core (the patch the CI step "Console script" runs).
+_4D_PATCH = replace(
+    _PAPER_PATCH,
+    flow=FlowMap(theta_map=parse("arccos(theta + s*t/4)"), phi_map=parse("phi + t")),
+)
+
 # (value, error_estimate, n_evals, converged), each value as float.hex(), of
 # runs through every branch of the pair driver: a first round that meets
 # both tolerances, an inner axis that bisects its first panel, outer split
@@ -547,9 +555,10 @@ _PAPER_PATCH = replace(
 # and bisects, a 3-d block whose rows start from seeded partitions of
 # different sizes, blocks where some rows meet their tolerance on their
 # start partition while the others bisect (the paper's patch: one such
-# block starts from one panel, three from seeds of different sizes), and a
-# 4-d budget that drops a split round.  A change to the driver that keeps
-# the numbers keeps every bit of them.
+# block starts from one panel, three from seeds of different sizes), a 4-d
+# budget that runs out in a split round, and the 4-d patch under a budget
+# that runs out without cutting an outer split round short.  A change to
+# the driver that keeps the numbers keeps every bit of them.
 @pytest.mark.parametrize(
     "run, bits",
     [
@@ -615,7 +624,11 @@ _PAPER_PATCH = replace(
                 ((0.0, 1.0), (0.0, 1.0)),
                 QuadSpec(abs_tol=1e-6, rel_tol=1e-6, max_evals=461040),
             ),
-            ("0x1.edff723ca6546p-1", "0x1.1a441fb4bee8dp-13", 464160, False),
+            ("0x1.edf3f8f349aabp-1", "0x1.8f302f3681f47p-15", 488160, False),
+        ),
+        (
+            lambda: area(_4D_PATCH, QuadSpec(1e-3, 1e-3, max_evals=2_000_000)),
+            ("0x1.36aaba95aa0c7p+1", "0x1.014aa8764e67dp-2", 2053620, False),
         ),
     ],
     ids=[
@@ -627,7 +640,8 @@ _PAPER_PATCH = replace(
         "seeded inner bisects",
         "3-d seeds of several sizes",
         "rows done on their start partition beside rows that bisect",
-        "4-d budget drops a split round",
+        "4-d budget stops a split round",
+        "4-d patch under a budget",
     ],
 )
 def test_the_driver_keeps_its_numbers_bit_for_bit(run, bits):
@@ -734,26 +748,52 @@ def test_4d_separable_sphere_mass():
     assert r.value == pytest.approx((math.pi / 2) ** 2, abs=1e-8)
 
 
-def test_4d_budget_marks_nonconverged():
+@pytest.mark.parametrize(
+    "f, tol, n_evals, converged",
+    [
+        # every integral meets its tolerance in its first round: the count
+        # passes the budget, but the budget cuts no integral short
+        (lambda s, t, u, v: np.exp(s * u) * np.cos(3 * t * v), 1e-10, 54240, True),
+        # the cusp at s = 1/3 needs outer split rounds that the budget stops
+        (
+            lambda s, t, u, v: np.sqrt(np.abs(s - 1 / 3)) * np.cos(u * v) + t,
+            1e-6,
+            54240,
+            False,
+        ),
+    ],
+    ids=["met in the first round", "cut short"],
+)
+def test_a_4d_budget_marks_only_what_it_cuts_short(f, tol, n_evals, converged):
     box = ((0.0, 1.0), (0.0, 1.0))
-    spec = QuadSpec(abs_tol=1e-10, rel_tol=1e-10, max_evals=20000)
-    r = integrate_4d(
-        lambda s, t, u, v: np.exp(s * u) * np.cos(3 * t * v),
-        box,
-        box,
-        spec,
-    )
-    assert not r.converged
+    r = integrate_4d(f, box, box, QuadSpec(tol, tol, max_evals=20000))
+    assert (r.n_evals, r.converged) == (n_evals, converged)
     assert math.isfinite(r.value)
+    # converged speaks of the tolerance, not of the budget
+    assert (r.error_estimate <= max(tol, tol * abs(r.value))) == converged
 
 
-def test_4d_budget_stops_after_the_round_in_flight():
-    # Once the budget is out, no level starts another round.  The overshoot is
-    # the round in flight of one block of inner rows: its kernel call (at most
-    # _BLOCK_ROWS x 30 x 30 points) and the _BLOCK_ROWS x 30 inner results it
-    # yields, plus the outer (s, t) results of the outer rounds it belongs to
-    # (30 x 30 + 30).  An outer split round that is not complete is dropped.
-    one_round = _BLOCK_ROWS * (30 * 30 + 30) + 30 * 30 + 30
+def test_4d_budget_stops_after_the_round_in_flight(monkeypatch):
+    # Once the budget is out, no axis starts another round.  The overshoot is
+    # the round in flight of one block of (u, v) rows: its kernel call (at
+    # most _BLOCK_ROWS x 30 u-nodes x 15 v-nodes per panel of the largest
+    # seeded v start, or 30 v-nodes in a split round) and the _BLOCK_ROWS x
+    # 30 u results it yields.  Then the (u, v) integrals of the t round in
+    # flight that had not started take their first round (15 x 15 + 15
+    # each, at most 30 s-nodes times 15 t-nodes per panel of the largest
+    # seeded t start, or 30 t-nodes), and the outer rounds in flight yield
+    # their (s, t) results.  The largest seeded starts come from a spy: the
+    # t axis has one outer coordinate (s), the v axis three (s, t, u).
+    largest = {}
+    start_ = quadrature._start
+
+    def spy(f, a, b, spec, run, rows, outer, start=None):
+        if start is not None and len(outer) in largest:
+            sizes = [len(edges) - 1 for edges in start]
+            largest[len(outer)] = max(sizes + [largest[len(outer)]])
+        return start_(f, a, b, spec, run, rows, outer, start)
+
+    monkeypatch.setattr(quadrature, "_start", spy)
     box = ((0.0, 1.0), (0.0, 1.0))
 
     def f(s, t, u, v):
@@ -763,27 +803,43 @@ def test_4d_budget_stops_after_the_round_in_flight():
     full = integrate_4d(f, box, box, spec)
     assert full.converged and full.n_evals == 922080
     for max_evals in (276624, 461040, 645456, 829872):
+        largest.update({1: 2, 3: 2})
         r = integrate_4d(f, box, box, replace(spec, max_evals=max_evals))
-        assert not r.converged and math.isfinite(r.value)
-        assert max_evals <= r.n_evals <= max_evals + one_round
-        # the estimate of the last complete outer round
+        t_nodes, v_nodes = 15 * largest[1], 15 * largest[3]
+        one_round = _BLOCK_ROWS * (30 * v_nodes + 30)
+        first_rounds = 30 * t_nodes * (15 * 15 + 15)
+        outer = 30 * t_nodes + 30
+        assert max_evals <= r.n_evals <= max_evals + one_round + first_rounds + outer
+        # the run stopped short of its tolerance, unless the round in
+        # flight was its last
+        assert r.converged == (r.n_evals == full.n_evals)
         assert r.value == pytest.approx(full.value, abs=1e-3)
 
 
-def test_no_integral_starts_in_a_split_round_once_the_budget_is_out(monkeypatch):
+def test_an_integral_that_starts_once_the_budget_is_out_takes_one_round(monkeypatch):
     # The (u, v) rows of a block split with seeds of several sizes, all in
-    # one inner integration per split round.  Once the budget is out, a
-    # block still to run drops the split round instead of evaluating its
-    # start partitions.  Every integral starts in _start, before its first
-    # integrand call; the outer axis of a pair starts before the inner
-    # integrals of its first round.
+    # one inner integration per split round.  Once the budget is out, the
+    # blocks of the round in flight that had not started still start: each
+    # integral that starts makes its first integrand call, tests it and
+    # returns without building panel records (None as its third value).
+    # Every integral starts in _start, before its first integrand call; the
+    # outer axis of a pair starts before the inner integrals of its first
+    # round.
     late = []
     start_ = quadrature._start
 
     def spy(f, a, b, spec, run, rows, outer, start=None):
-        if run.exhausted and run.splitting:
-            late.append(rows)
-        return start_(f, a, b, spec, run, rows, outer, start)
+        if not run.exhausted:
+            return start_(f, a, b, spec, run, rows, outer, start)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return f(*args)
+
+        result = start_(counted, a, b, spec, run, rows, outer, start)
+        late.append((len(calls), result[2]))
+        return result
 
     monkeypatch.setattr(quadrature, "_start", spy)
     box = ((0.0, 1.0), (0.0, 1.0))
@@ -792,9 +848,10 @@ def test_no_integral_starts_in_a_split_round_once_the_budget_is_out(monkeypatch)
         return np.sqrt(np.abs(v - s)) * np.cos(u * t) + np.sqrt(np.abs(u - t / 2))
 
     for max_evals in (186615, 353230):
+        late.clear()
         r = integrate_4d(f, box, box, QuadSpec(1e-3, 1e-3, max_evals=max_evals))
         assert not r.converged and math.isfinite(r.value)
-    assert late == []
+        assert late and all(calls == 1 and lefts is None for calls, lefts in late)
 
 
 # -- rows and seeds -------------------------------------------------------------
