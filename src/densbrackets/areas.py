@@ -28,11 +28,16 @@ and the sphere, with t bound to the midpoint of I2; every other flow runs
 the 4-d integral.
 
 Substituting something like ``arccos(theta + s)`` takes arccos outside its
-principal domain; :func:`pullback_density` therefore runs the rationalizing
-rewrites of :func:`densbrackets.expressions.simplify` so that even powers of
-``sin(arccos(...))`` become polynomial and the integrand is real away from a
-measure-zero set of removable points.  Quadrature nodes are interior and do
-not hit that set in the shipped problems.  The compiled kernel of the
+principal domain, on most of the paper's own patch: ``theta + s > 1`` once
+``theta > 1 - s``.  :func:`pullback_density` runs the rationalizing rewrites
+of :func:`densbrackets.expressions.simplify`, so that even powers of
+``sin(arccos(...))`` become polynomial, and an area integrates that
+rationalized pullback, which stays defined there; that is how the paper's
+3.3009295509955767 is reproduced.  Such a patch is integrated, not rejected:
+``1 + sin(theta)^2/2`` under ``arccos(theta + s*t)`` on the paper's
+intervals reports the area -29.43 as converged.  The integrand is real away
+from a measure-zero set of removable points, which the interior quadrature
+nodes do not hit in the shipped problems.  The compiled kernel of the
 integrand goes straight into the quadrature, and every non-finite value is
 an error, as for masses and brackets: the quadrature leaf reports the point
 and :func:`densbrackets.geometry.compiled_kernel` re-evaluates it strictly.
@@ -45,7 +50,6 @@ subexpression and all four coordinates of the point reported, the fixed
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 from .expressions import (
@@ -61,8 +65,14 @@ from .expressions import (
     substitute,
     to_text,
 )
-from .geometry import SPHERE, GeometryError, compiled_kernel, require_domain_vars
-from .quadrature import QuadResult, QuadSpec, integrate_2d, integrate_4d
+from .geometry import (
+    SPHERE,
+    GeometryError,
+    compiled_kernel,
+    require_domain_vars,
+    scaled_spec,
+)
+from .quadrature import QuadResult, QuadSpec, integrate_2d, integrate_4d, to_float
 
 __all__ = [
     "FlowMap",
@@ -134,7 +144,15 @@ class AreaProblem:
             ("s_interval", "I1", math.pi, "pi"),
             ("t_interval", "I2", 2.0 * math.pi, "2*pi"),
         ):
-            lo, hi = interval = getattr(self, field)
+            interval = getattr(self, field)
+            try:
+                lo, hi = map(to_float, interval)
+            except (TypeError, ValueError):
+                raise IntervalError(
+                    field,
+                    f"parameter interval {name} = {interval!r} must be a pair "
+                    "of numbers",
+                ) from None
             if not (0.0 < lo < hi < top):
                 raise IntervalError(
                     field,
@@ -239,8 +257,7 @@ def area(problem: AreaProblem, spec: QuadSpec | None = None) -> QuadResult:
         # names all four coordinates of a point of the patch
         variables, fixed = ("t", "s", "phi", "theta"), (0.5 * (t_lo + t_hi),)
         outer = (problem.s_interval,)
-        abs_tol = min(max(spec.abs_tol / width, math.ulp(0.0)), sys.float_info.max)
-        spec = replace(spec, abs_tol=abs_tol)
+        spec = scaled_spec(spec, width)
     else:
         width, variables, fixed = 1.0, _VARS, ()
         outer = (problem.s_interval, problem.t_interval)
@@ -259,6 +276,10 @@ def inner_bracket(
     property.
     """
     problem.validate()
+    try:
+        s, t = to_float(s), to_float(t)
+    except (TypeError, ValueError):
+        raise GeometryError(f"(s, t) = ({s!r}, {t!r}) must be numbers") from None
     s_lo, s_hi = problem.s_interval
     t_lo, t_hi = problem.t_interval
     if not (s_lo <= s <= s_hi and t_lo <= t <= t_hi):
@@ -266,7 +287,7 @@ def inner_bracket(
             f"(s, t) = ({s!r}, {t!r}) is outside I1 x I2 = "
             f"{problem.s_interval!r} x {problem.t_interval!r}"
         )
-    fixed = (float(s), float(t))
+    fixed = (s, t)
     with compiled_kernel(_integrand_expr(problem), _VARS, fixed) as kernel:
         result = integrate_2d(kernel, (_PHI_BOX, _THETA_BOX), spec)
     return result.scaled(SPHERE.prefactor)

@@ -752,6 +752,14 @@ def _specs(spec: QuadSpec, groups) -> tuple[tuple[QuadSpec, ...], ...]:
 _TEXT = (str, bytes, bytearray)
 
 
+def to_float(x) -> float:
+    """``float(x)``; raises :class:`TypeError` for text, which ``float``
+    would read (``'1e0'``) but which is not a number."""
+    if isinstance(x, _TEXT):
+        raise TypeError(f"{x!r} is text")
+    return float(x)
+
+
 def _sized(items, counts: tuple[int, ...], rule: str) -> tuple:
     """``items`` as a tuple, if their number is one of ``counts``."""
     if isinstance(items, _TEXT):
@@ -774,9 +782,7 @@ def _checked(groups) -> tuple[tuple[Interval, ...], ...]:
         for interval in group:
             ends = _sized(interval, (2,), "an interval has 2 ends")
             try:
-                if isinstance(ends[0], _TEXT) or isinstance(ends[1], _TEXT):
-                    raise TypeError
-                lo, hi = float(ends[0]), float(ends[1])
+                lo, hi = map(to_float, ends)
             except (TypeError, ValueError):
                 raise QuadratureError(
                     f"the ends of an interval are numbers, got {ends!r}"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from densbrackets.areas import (
     _VARS,
     AreaProblem,
     FlowMap,
+    IntervalError,
     _integrand_expr,
     _t_invariant,
     area,
@@ -639,6 +641,24 @@ def test_problem_validation():
         ).validate()
     with pytest.raises(GeometryError):
         FlowMap(theta_map=parse("q"), phi_map=parse("phi")).validate()
+
+
+@pytest.mark.parametrize("field", ["s_interval", "t_interval"])
+@pytest.mark.parametrize(
+    "interval", [(1.0,), (1, 2, 3), ("a", "b"), None, ("1", "2"), "12"]
+)
+def test_an_interval_that_is_not_a_pair_of_numbers_names_its_field(field, interval):
+    p = AreaProblem(rho=parse("1"), flow=ROTATION, s_interval=QUARTER, t_interval=QUARTER)
+    with pytest.raises(IntervalError, match="must be a pair of numbers$") as err:
+        area(replace(p, **{field: interval}), QuadSpec(abs_tol=1e-3, rel_tol=1e-3))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("s, t", [("1", 1.0), (1.0, None), (1.0, "1e0")])
+def test_inner_bracket_takes_numbers_only(s, t):
+    p = AreaProblem(rho=parse("1"), flow=ROTATION, s_interval=QUARTER, t_interval=QUARTER)
+    with pytest.raises(GeometryError, match=r"^\(s, t\) = .* must be numbers$"):
+        inner_bracket(p, s, t)
 
 
 def test_surviving_sqrt_domain_error_identifies_node():

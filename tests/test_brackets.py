@@ -124,11 +124,29 @@ def test_no_normalize_scales_by_raw_mass():
 
 def test_a_budget_that_cuts_nothing_short_keeps_the_result_converged():
     # table1 row2: the mass and the bracket each meet their tolerances on
-    # their first panel (462 evaluations each), past a budget of 100
+    # their first panel (462 evaluations each), past a budget of 100; the
+    # mass 0.9999999999999999 divides the raw bracket -2.5000000000000004
     p = _problem(SQUARE, "1", "(3/2)*(x^2 + y^2)", "x + y", "x^2 - y^2")
     r = bracket(p, QuadSpec(max_evals=100))
-    assert (r.value, r.n_evals, r.converged) == (-2.5000000000000004, 924, True)
+    assert (r.value, r.n_evals, r.converged) == (-2.500000000000001, 924, True)
     assert r == bracket(p)
+
+
+@pytest.mark.parametrize(
+    "c, n_evals", [(1, 20_496), (1000, 20_496), (0.001, 16_968), (1e-12, 14_280)]
+)
+def test_the_tolerance_holds_on_the_normalized_bracket(c, n_evals):
+    # the bracket integrates c*rho as given at abs_tol times its mass and
+    # divides by that mass, so it takes 13,818 evaluations for every c; only
+    # the mass integral (6,678, 6,678, 3,150 and 462), whose abs_tol applies
+    # to the raw mass, depends on c.  Without the scaled abs_tol the last two
+    # would take 10,752 and 924 evaluations in all and stop short of the
+    # tolerance on their value.
+    rho = f"{c!r}*exp(cos(t1) + cos(t2))"
+    r = bracket(_problem(TORUS, "1", rho, "sin(t1)*t2", "cos(t2) + t1^2"))
+    assert (r.n_evals, r.converged) == (n_evals, True)
+    spec = QuadSpec()
+    assert r.error_estimate <= max(spec.abs_tol, spec.rel_tol * abs(r.value))
 
 
 def test_mass_lost_in_noise_raises():
