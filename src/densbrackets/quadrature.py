@@ -15,7 +15,7 @@ change the reduction order.
 
 Every integral runs through one adaptive core, which advances a block of
 independent integrations ("rows") in lockstep.  Each row keeps its own
-partition in flat arrays (panel edges, values, errors and priorities); each
+partition as panel records [value | error | right | left | priority]; each
 round, every unconverged row bisects its own worst panel, exactly as a
 one-row driver would, and the new nodes of all rows go to the integrand in
 one call.  A row's numbers therefore do not depend on the other rows of its
@@ -50,7 +50,7 @@ the outer axis of a pair included, runs in one ``_start`` call, which makes
 its first integrand call, tests it and then bisects; a one-panel start
 takes its node grid from a cache (``_panel``).  If every row's sums meet
 its tolerance on its start partition, ``_start`` returns them and builds no
-panel records.  Else every row's start panels become the first records of
+partition.  Else every row's start panels become the first records of
 its partition: a row that met its tolerance is not bisected (its panels sit
 at priority -inf, as those of a row done later do), and the others bisect
 from the sums already tested, so no value is computed twice.  A pair keeps
@@ -247,17 +247,19 @@ class QuadSpec:
     def __post_init__(self):
         # each message starts with the name of the field it is about
         for name, ok, rule in (
-            ("abs_tol", 0.0 < self.abs_tol < np.inf, "must be positive and finite"),
-            ("rel_tol", 0.0 < self.rel_tol < np.inf, "must be positive and finite"),
-            ("max_subdivisions", self.max_subdivisions >= 1, "must be >= 1"),
-            (
-                "max_evals",
-                self.max_evals is None or self.max_evals >= 15,
-                "must allow at least one G7/K15 panel (15 evaluations)",
-            ),
+            ("abs_tol", lambda x: 0.0 < x < np.inf, "must be positive and finite"),
+            ("rel_tol", lambda x: 0.0 < x < np.inf, "must be positive and finite"),
+            ("max_subdivisions", lambda n: n >= 1, "must be >= 1"),
+            ("max_evals", lambda n: n is None or n >= 15,
+             "must allow at least one G7/K15 panel (15 evaluations)"),
         ):
-            if not ok:
-                raise QuadratureError(f"{name} {rule}, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            try:
+                bad = not ok(value)
+            except (TypeError, ValueError):  # None, text, a list: not comparable
+                bad, rule = True, "must be a number"
+            if bad:
+                raise QuadratureError(f"{name} {rule}, got {value!r}")
 
     def tightened(self, factor: float) -> "QuadSpec":
         """Both tolerances divided by ``factor``, floored at the smallest
@@ -377,15 +379,15 @@ def _panel(a: float, b: float, rows: int, rule: _Rule):
 
 def _sums(
     values: np.ndarray, aux: np.ndarray | None, half: np.ndarray, rule: _Rule
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The Gauss-Kronrod pair ``rule`` on panels of half-widths ``half``
     ([rows, h, 1], or one for all), from ``values`` [rows, k, h * n] at their
     nodes.
 
-    Returns (value, |G - K|, aux error), each [rows, h, k]; the aux error is
-    None without inner integrals.  Each row and panel gets its own
-    matrix-vector product over the row's k components, the same BLAS call a
-    one-row driver makes, so a row's sums do not depend on the other rows.
+    Returns (value, error), each [rows, h, k]; the error is |G - K| plus the
+    inner integrals' errors ``aux``, Kronrod-weighted, if any.  Each row and
+    panel gets its own product over its k components, the BLAS call of a
+    one-row driver, so a row's sums do not depend on the other rows.
     """
     _, kronrod, gauss = rule
     shape = values.shape[:2] + (-1, len(kronrod))
@@ -393,13 +395,13 @@ def _sums(
     value = half * (chunks @ kronrod)
     err = np.abs(value - half * (chunks @ gauss))
     if aux is not None:
-        aux = half * (np.abs(aux).reshape(shape).transpose(0, 2, 1, 3) @ kronrod)
-    return value, err, aux
+        err += half * (np.abs(aux).reshape(shape).transpose(0, 2, 1, 3) @ kronrod)
+    return value, err
 
 
 def _evaluate(
     f: _RowIntegrand, edges: np.ndarray, live, run: _Run, outer: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The run's pair on the panels between consecutive ``edges``
     [rows, h + 1] of the live rows, with a single f call (see ``_sums``)."""
     x, half = _nodes(edges, run.rule.nodes)
@@ -408,12 +410,12 @@ def _evaluate(
     return _sums(values, aux, half, run.rule)
 
 
-def _records(value: np.ndarray, ea: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """The [value | error | right | left] records of panels [rows, h, k],
-    slot-major: records[s, i] is panel s of row i."""
-    return np.concatenate(
-        [value, ea, edges[:, 1:, None], edges[:, :-1, None]], 2
-    ).transpose(1, 0, 2)
+def _records(value: np.ndarray, error: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The records [value | error | right | left | priority] of panels
+    [rows, h, k], slot-major: records[s, i] is panel s of row i.  The
+    priority is the panel's largest error over its k components."""
+    columns = [value, error, edges[:, 1:, None], edges[:, :-1, None], error.max(2)[..., None]]
+    return np.concatenate(columns, 2).transpose(1, 0, 2)
 
 
 def _check_records(panels, sums, k, outer) -> None:
@@ -468,17 +470,17 @@ def _start(
     them, which add nothing to its sums (x + -0.0 == x).  A row whose sums
     meet the tolerance is done; so is every row once the budget is out.
 
-    Then every row's start panels become the first records of its
-    partition, and the rows not done bisect, from the sums already tested.
-    The start panels count as P_i - 1 bisections against
-    ``max_subdivisions``, so a row never holds more than ``max_subdivisions
-    + 1`` panels.  Every round, each unconverged row bisects its worst
-    splittable panel (largest error, the leftmost on ties).  A budget that
-    runs out stops the loop after the round in flight.  After each round, a
-    row whose panel sums meet the tolerance is done; no running total is
-    kept, so that one huge panel cannot absorb the others.  ``outer`` holds
-    the coordinates of the enclosing axes (see ``_RowIntegrand``), for
-    ``f`` and error reports.
+    Then every row's start panels become the first records (``_records``)
+    of its partition, ``panels[slot, row]``, and the rows not done bisect,
+    from the sums already tested.  The start panels count as P_i - 1
+    bisections against ``max_subdivisions``, so a row never holds more than
+    ``max_subdivisions + 1`` panels.  Every round, each unconverged row
+    bisects its worst splittable panel (largest priority, the leftmost on
+    ties).  A budget that runs out stops the loop after the round in flight.
+    After each round, a row whose panel sums meet the tolerance is done; no
+    running total is kept, so that one huge panel cannot absorb the others.
+    ``outer`` holds the coordinates of the enclosing axes, for ``f`` and
+    error reports.
 
     Returns per-component (value, error_estimate), each [rows, k]: the sums
     that the row's last convergence test read, so ``converged`` speaks of
@@ -491,10 +493,10 @@ def _start(
         edges, x, half = _panel(a, b, rows, run.rule)
         values, aux = f(x, slice(None), edges, outer)
         run.used += values.size
-        value, err, aux = _sums(values, aux, half, run.rule)
+        value, error = _sums(values, aux, half, run.rule)
     elif all(len(e) == len(start[0]) for e in start):
         edges = np.array(start)  # every row starts from p panels
-        value, err, aux = _evaluate(f, edges, slice(None), run, outer)
+        value, error = _evaluate(f, edges, slice(None), run, outer)
     else:
         # each start panel is a one-panel row of its own in the first round,
         # and takes the (slot, row) ``place`` in the records
@@ -505,24 +507,23 @@ def _start(
             [i for i, size in enumerate(sizes) for _ in range(size)],
         )
         edges = np.array([e[j : j + 2] for e in start for j in range(len(e) - 1)])
-        value, err, aux = _evaluate(f, edges, np.array(place[1]), run, outer)
-    ea = err if aux is None else err + aux
+        value, error = _evaluate(f, edges, np.array(place[1]), run, outer)
     k = value.shape[2]
     records = None
     if place is None and value.shape[1] == 1:
         # one start panel per row, whose numbers are its sums; a value that
         # is not finite makes its error not finite
-        tv, te = value[:, 0], ea[:, 0]
+        tv, te = value[:, 0], error[:, 0]
         finite = math.isfinite(te.sum())
     else:
         if sizes is None:
             # each row's panels in slot order, as the records would sum them:
             # with 2k >= 2 columns innermost, numpy adds slot after slot
-            total = np.concatenate([value, ea], 2).sum(1)
+            total = np.concatenate([value, error], 2).sum(1)
         else:
-            records = np.full((max(sizes), len(sizes), 2 * k + 2), -0.0)
-            records[..., -1] = np.inf
-            records[place] = _records(value, ea, edges)[0]
+            records = _blank(p, rows, k)
+            records[..., : 2 * k] = -0.0
+            records[place] = _records(value, error, edges)[0]
             total = records[..., : 2 * k].sum(0)
             # (a sum of one panel would turn -0.0 into 0.0)
             single = [i for i, size in enumerate(sizes) if size == 1]
@@ -530,7 +531,7 @@ def _start(
         finite = math.isfinite(total.sum())
         tv, te = total[:, :k], total[:, k:]
     if not finite:
-        panels = _records(value, ea, edges) if records is None else records
+        panels = _records(value, error, edges) if records is None else records
         _check_records(panels, np.concatenate([tv, te], 1), k, outer)
     done = _met(tv, te, spec)
     converged = int(np.count_nonzero(done))
@@ -541,24 +542,15 @@ def _start(
     # Every row's start panels enter the partition; a row that met its
     # tolerance there is done, at priority -inf like a row done later.
     if records is None:  # only a ragged start has built them
-        records, total = _records(value, ea, edges), np.concatenate([tv, te], 1)
-    if sizes is None:
-        priority = ea.max(2).T
-    else:
-        priority = np.full(records.shape[:2], -np.inf)
-        priority[place] = ea.max(2)[:, 0]
-    priority[:, done] = -np.inf
+        records, total = _records(value, error, edges), np.concatenate([tv, te], 1)
+    records[:, done, -1] = -np.inf
     p = len(records)
-    # The partition, slot-major: panels[s, i] is the record of the panel in
-    # slot s of row i, [value | error | right | left | priority].  A split's
-    # left half keeps its panel's slot and the right half of round r takes
-    # slot r.  Unused slots have left = inf; done rows, rows out of
-    # bisections, and panels found too narrow to bisect have priority -inf.
-    width = 2 * k + 3
-    panels = _blank(max(8, 2 * p), rows, width)
-    panels[:p, :, :-1] = records
-    panels[:p, :, -1] = priority
-    records = panels.reshape(-1, width)  # a view: records[s * rows + i] is panels[s, i]
+    # The partition: a split's left half keeps its panel's slot and the
+    # right half of round r takes slot r.  Unused slots have left = inf; done
+    # rows, rows out of bisections, and panels found too narrow to bisect
+    # have priority -inf.
+    panels = _blank(max(8, 2 * p), rows, k)
+    panels[:p] = records
     index = np.arange(rows)
     # Bisection keeps every panel d bisections below a start panel of width
     # w at least w / 2**d - eps M wide, M = max(|a|, |b|), and a panel wider
@@ -586,27 +578,19 @@ def _start(
         live = slice(None) if n == rows else np.flatnonzero(go)
         i = index[live]
         top = priority[:, live] == worst[live]
-        flat = np.where(top, panels[:, live, -2], np.inf).argmin(0)
-        if rows > 1:
-            flat = flat * rows + i
-        lo, hi = records[flat, -2], records[flat, -3]
+        slot = np.where(top, panels[:, live, -2], np.inf).argmin(0)
+        hi, lo = panels[slot, i, -3:-1].T
         edges = np.array((lo, 0.5 * (lo + hi), hi)).T
         if r >= narrowing and not (edges[:, 1:] > edges[:, :-1]).all():
             narrow = (edges[:, 1:] <= edges[:, :-1]).any(1)
-            records[flat[narrow], -1] = -np.inf
+            panels[slot[narrow], i[narrow], -1] = -np.inf
             continue
-        hv, he, ha = _evaluate(f, edges, live, run, outer)
+        left, right = _records(*_evaluate(f, edges, live, run, outer), edges)
         r += 1
         if r == len(panels):
-            panels = np.concatenate([panels, _blank(r, rows, width)])
-            records = panels.reshape(-1, width)
-        hea = he if ha is None else he + ha
-        worst = np.maximum.reduce(hea, 2)
-        halves = np.concatenate(
-            [hv, hea, edges[:, 1:, None], edges[:, :-1, None], worst[..., None]], 2
-        )
-        records[flat] = halves[:, 0]
-        panels[r, live] = halves[:, 1]
+            panels = np.concatenate([panels, _blank(r, rows, k)])
+        panels[slot, i] = left
+        panels[r, live] = right
         # test the sums of each live row's partition (and its -0.0 pads)
         sums = total[live] = np.add.reduce(panels[: r + 1, live, : 2 * k], 0)
         finished = _met(sums[:, :k], sums[:, k:], spec)
@@ -623,9 +607,9 @@ def _start(
     return total[:, :k], total[:, k:], panels[: r + 1, :, -2]
 
 
-def _blank(cap: int, rows: int, width: int) -> np.ndarray:
-    """Unused panel records: left = inf, priority = -inf."""
-    panels = np.empty((cap, rows, width))
+def _blank(cap: int, rows: int, k: int) -> np.ndarray:
+    """``cap`` slots of unused records of k components: left = inf, priority = -inf."""
+    panels = np.empty((cap, rows, 2 * k + 3))
     panels[..., -2:] = np.inf, -np.inf
     return panels
 

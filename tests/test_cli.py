@@ -378,6 +378,15 @@ def test_a_density_negative_at_a_mass_node_exits_1(capsys):
     assert code == 0 and json.loads(out)["normalization_constant"] is None
 
 
+def test_a_density_of_mass_zero_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "bracket", "--domain", "square", "--rho", "0", "--f", "x", "--h", "y"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: density '0' has mass 0.0 ")
+    assert "a usable mass is finite, positive and more than 10x its error estimate" in err
+
+
 @pytest.mark.parametrize("kind", ["mass", "normalize", "bracket"])
 def test_a_density_negative_at_a_mass_node_fails_its_table_row(tmp_path, capsys, kind):
     body = f"kind = {kind}\ndomain = sphere\nrho = cos(theta)\n"
@@ -697,6 +706,7 @@ def test_own_key_that_overrides_a_default_is_checked_against_the_kind(tmp_path, 
             "[r]\nkind = bracket\ndomain = square\nf = x\nh = y\n",
             "job 'r' is missing required key 'rho'",
         ),
+        ("[a]\ndomain = square\nrho = 1\n", "job 'a' is missing required key 'kind'"),
         ("tau = 1\n[r]\nkind = mass\n", "File contains no section headers"),
         # the library's own input errors name their job
         ("[r]\nkind = mass\ndomain = cube\nrho = 1\n", "job 'r': unknown domain 'cube'"),
@@ -893,8 +903,10 @@ def _bracket_of(f):
         "sin(" * 400 + "x" + ")" * 400,  # the parser descends too deep
         "(" * 400 + "x" + ")" * 400,
         " + ".join(["x"] * 2000),  # parses, but a later tree walk is too deep
+        # past any caller's stack (the console script's too): main reports it
+        " + ".join(["x"] * 3000),
     ],
-    ids=["calls", "parentheses", "sum"],
+    ids=["calls", "parentheses", "sum", "long sum"],
 )
 def test_too_deeply_nested_expression_is_a_typed_error(capsys, f):
     code, out, err = run_cli(capsys, *_bracket_of(f))

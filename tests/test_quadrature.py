@@ -209,6 +209,21 @@ def test_spec_validation():
         QuadSpec(max_evals=14)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("abs_tol", None),
+        ("abs_tol", "1e-3"),  # text is not a number, as in to_float
+        ("rel_tol", [1]),
+        ("max_subdivisions", None),
+        ("max_evals", "x"),
+    ],
+)
+def test_a_spec_field_that_is_not_a_number_is_a_typed_error(field, value):
+    with pytest.raises(QuadratureError, match=f"^{field} must be a number, got "):
+        QuadSpec(**{field: value})
+
+
 def test_tightened_tolerances_stop_at_the_smallest_double():
     spec = QuadSpec(abs_tol=5e-324, rel_tol=1e-3).tightened(1000.0)
     assert spec.abs_tol == 5e-324 and spec.rel_tol == 1e-3 / 1000.0
@@ -375,6 +390,24 @@ def test_divergent_integral_reports_every_coordinate():
     with pytest.raises(DivergentIntegralError) as err:
         integrate_1d(lambda x: 1e308, 0.0, 10.0)
     assert err.value.point == (5.0,)
+
+
+@pytest.mark.parametrize(
+    "start", [[[0, 2, 4]], [[0, 2, 4], [0, 4]]], ids=["uniform", "ragged"]
+)
+def test_sums_that_overflow_over_finite_panels_report_the_largest_panel(start):
+    # the first row's panels sum to 1.6e308 and 1.7e308, each finite, but
+    # its total overflows: the error names the panel of largest value
+    def f(x, live, edges, outer):
+        return np.where(x < 2, 0.8e308, 0.85e308)[:, None, :], None
+
+    rows = len(start)
+    outer = (np.full((rows, 1), 7.0),)
+    run = quadrature._Run(None, _GK21)
+    # as _integrate holds it: an overflow raises, it does not warn
+    with np.errstate(all="ignore"), pytest.raises(DivergentIntegralError) as err:
+        quadrature._start(f, 0.0, 4.0, QuadSpec(), run, rows, outer, start)
+    assert err.value.point == (7.0, 3.0)
 
 
 def test_convergence_is_tested_on_the_partition_itself():
