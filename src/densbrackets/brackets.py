@@ -12,13 +12,21 @@ reported alongside the result so that externally stated normalization
 constants can be compared against it.  The bracket is linear in ``rho``: it
 is the integral of ``rho`` as given, run at ``abs_tol * m`` and divided by
 ``m``, so the tolerance holds on the reported value.
+
+The integrand is built symbolically first: one derivative walk over ``f``
+and one over ``h`` give both partials of each (see
+:func:`densbrackets.expressions.partials`), and the product is built through
+simplify's rewrite rules as it goes, so it is simplified without a second
+pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expressions import BinOp, Expr, diff, simplify
+# diff stays a name of this module, beside the partials that build the
+# integrand, so that benchmarks/tracing.py can wrap it as it wraps simplify
+from .expressions import Expr, _rewrite_binop, diff, partials, simplify  # noqa: F401
 from .geometry import (
     Domain,
     check_mass,
@@ -69,21 +77,18 @@ def build_integrand(problem: BracketProblem) -> Expr:
 
     Returns ``simplify((df/du dh/dv - df/dv dh/du) * tau * rho * weight)``
     using the problem's density as given: it is what :func:`bracket`
-    integrates, normalized or not.
+    integrates, normalized or not.  One walk over ``f`` and one over ``h``
+    give both partials of each, at simplify's fixed point, and the product
+    is built through the same rewrite rules, so it needs no second pass.
     """
     problem.validate()
-    u, v = problem.domain.coords
-    jacobian = BinOp(
-        "-",
-        BinOp("*", diff(problem.f, u), diff(problem.h, v)),
-        BinOp("*", diff(problem.f, v), diff(problem.h, u)),
-    )
-    product = BinOp(
-        "*",
-        BinOp("*", BinOp("*", jacobian, problem.tau), problem.rho),
-        problem.domain.weight,
-    )
-    return simplify(product)
+    coords = problem.domain.coords
+    (fu, fv), (hu, hv) = partials(problem.f, coords), partials(problem.h, coords)
+    binop = _rewrite_binop
+    product = binop("-", binop("*", fu, hv), binop("*", fv, hu))
+    for factor in (problem.tau, problem.rho, problem.domain.weight):
+        product = binop("*", product, simplify(factor))
+    return product
 
 
 def bracket(problem: BracketProblem, spec: QuadSpec | None = None) -> BracketResult:

@@ -66,6 +66,7 @@ __all__ = [
     "parse",
     "evaluate",
     "diff",
+    "partials",
     "substitute",
     "simplify",
     "free_vars",
@@ -479,55 +480,79 @@ def evaluate(expr: Expr, bindings: Bindings) -> float:
 def diff(expr: Expr, variable: str) -> Expr:
     """Exact symbolic partial derivative with respect to ``variable``.
 
-    The result is one rewrite pass of :func:`simplify` over the raw
-    derivative (sum, product, quotient, power and chain rules applied
-    literally): each node is built through the rewrite rules, and each
-    operand copied from ``expr`` goes through the pass once.  Pass it
-    through :func:`simplify` for the fixed point.  Conventions: d|u|/du is
-    ``sign(u)`` with ``sign(0) = 0``, and d besseli0(u)/du = besseli1(u).
+    The textbook derivative (sum, product, quotient, power and chain rules)
+    built through the rewrite rules of :func:`simplify`, over operands that
+    have been through them once: the result is already at simplify's fixed
+    point, node for node the tree ``simplify`` makes of the raw textbook
+    derivative.  Conventions: d|u|/du is ``sign(u)`` with ``sign(0) = 0``,
+    and d besseli0(u)/du = besseli1(u).
     """
-    memo: _PassMemo = {}
     with np.errstate(all="ignore"):
-        return _diff(expr, variable, lambda node: _simplify_pass(node, memo))
+        return _partials(expr, {variable: (_ONE,)}, {})[0]
 
 
-def _diff(expr: Expr, variable: str, s: Callable[[Expr], Expr]) -> Expr:
-    """The derivative of ``expr``; ``s`` maps its operands to their
-    rewritten copies."""
-    binop, call = _rewrite_binop, _rewrite_call
-    if isinstance(expr, (Const, NamedConst)):
-        return Const(0.0)
+def partials(expr: Expr, variables: Sequence[str]) -> tuple[Expr, ...]:
+    """``diff(expr, x)`` for each of the distinct ``variables``, in one walk.
+
+    Every partial is built by the rules :func:`diff` applies, and the
+    operands they share (each rewritten subtree, each call's outer
+    derivative) are built once for all of them.
+    """
+    units = {x: tuple(_ONE if y == x else _ZERO for y in variables) for x in variables}
+    with np.errstate(all="ignore"):
+        return _partials(expr, units, {})
+
+
+_ZERO = Const(0.0)
+_ONE = Const(1.0)
+
+
+def _partials(expr: Expr, units: dict[str, tuple], memo: _PassMemo) -> tuple:
+    """The derivatives of ``expr`` by each variable of ``units``, which maps
+    a variable to its own derivatives (1 in its place, 0 elsewhere).  The
+    operands copied from ``expr`` go through one rewrite pass, sharing
+    ``memo``.  The rules run in plain loops: a comprehension would add a
+    frame below the deepest recursion and lower the nesting limit."""
     if isinstance(expr, Var):
-        return Const(1.0 if expr.name == variable else 0.0)
-    if isinstance(expr, BinOp):
-        u, v = expr.left, expr.right
-        du = _diff(u, variable, s)
-        dv = _diff(v, variable, s)
-        op = expr.op
-        if op in "+-":
-            return binop(op, du, dv)
-        if op == "*":
-            return binop("+", binop("*", du, s(v)), binop("*", s(u), dv))
-        if op == "/":
-            num_ = binop("-", binop("*", du, s(v)), binop("*", s(u), dv))
-            return binop("/", num_, binop("^", s(v), Const(2.0)))
-        if op == "^":
-            if isinstance(v, Const):
-                # power rule: n u^(n-1) u'
-                power = binop("^", s(u), Const(v.value - 1.0))
-                return binop("*", binop("*", v, power), du)
-            # general: u^v (v' ln u + v u'/u)
-            bracket = binop(
-                "+",
-                binop("*", dv, call("ln", s(u))),
-                binop("*", s(v), binop("/", du, s(u))),
-            )
-            return binop("*", s(expr), bracket)
+        return units.get(expr.name) or (_ZERO,) * len(units)
+    if isinstance(expr, (Const, NamedConst)):
+        return (_ZERO,) * len(units)
+    binop, out = _rewrite_binop, []
     if isinstance(expr, Call):
-        u = expr.arg
-        du = _diff(u, variable, s)
-        return binop("*", _function_derivative(expr.fn, s(u)), du)
-    raise TypeError(f"not an expression node: {expr!r}")
+        outer = _function_derivative(expr.fn, _simplify_pass(expr.arg, memo))
+        for du in _partials(expr.arg, units, memo):
+            out.append(binop("*", outer, du))
+        return tuple(out)
+    if not isinstance(expr, BinOp):
+        raise TypeError(f"not an expression node: {expr!r}")
+    op, u, v = expr.op, expr.left, expr.right
+    if op == "^" and isinstance(v, Const):
+        # power rule: n u^(n-1) u'
+        outer = binop("*", v, binop("^", _simplify_pass(u, memo), Const(v.value - 1.0)))
+        for du in _partials(u, units, memo):
+            out.append(binop("*", outer, du))
+        return tuple(out)
+    pairs = zip(_partials(u, units, memo), _partials(v, units, memo))
+    if op in "+-":
+        for du, dv in pairs:
+            out.append(binop(op, du, dv))
+        return tuple(out)
+    su, sv = _simplify_pass(u, memo), _simplify_pass(v, memo)
+    if op == "*":
+        for du, dv in pairs:
+            out.append(binop("+", binop("*", du, sv), binop("*", su, dv)))
+    elif op == "/":
+        square = binop("^", sv, Const(2.0))
+        for du, dv in pairs:
+            numerator = binop("-", binop("*", du, sv), binop("*", su, dv))
+            out.append(binop("/", numerator, square))
+    else:
+        # general power: u^v (v' ln u + v u'/u)
+        power, log = _simplify_pass(expr, memo), _rewrite_call("ln", su)
+        for du, dv in pairs:
+            quotient = binop("*", sv, binop("/", du, su))
+            out.append(binop("*", power, binop("+", binop("*", dv, log), quotient)))
+    return tuple(out)
 
 
 def _function_derivative(fn: str, u: Expr) -> Expr:
@@ -688,45 +713,43 @@ def to_text(expr: Expr) -> str:
 
 # -- simplification ----------------------------------------------------------
 
-_MAX_SIMPLIFY_PASSES = 60
 _MAX_DISTRIBUTED_POWER = 64
 
 
 def simplify(expr: Expr) -> Expr:
     """Apply a fixed, terminating rewrite set; value-equal on the common domain.
 
-    The rules, applied bottom-up to a fixed point:
+    The rules, applied in one bottom-up pass:
 
     * constant folding of operators and function calls with constant,
       in-domain arguments, by the checked step :func:`evaluate` runs
-      (``pi``/``e`` stay symbolic);
+      (``+``, ``-`` and ``*`` inline: the same float operation, and an
+      overflow stays symbolic; ``pi``/``e`` stay symbolic);
     * ``x*0 -> 0``, ``x*1 -> x``, ``x+0 -> x``, ``x-0 -> x``, ``x/1 -> x``,
       ``x^1 -> x``, ``x^0 -> 1`` (and mirrored variants);
     * ``cos(arccos(u)) -> u`` and ``sin(arccos(u)) -> sqrt(1 - u^2)``;
     * ``sqrt(u)^(2k) -> u^k`` for integer k >= 1;
     * ``(a*b)^n -> a^n * b^n`` and ``(a/b)^n -> a^n / b^n`` for integer
       ``2 <= n <= 64`` when the base contains a ``sqrt``, so that even powers
-      of radicals can rationalise.
+      of radicals can rationalise.  The base is the rewritten one: where an
+      inner rule removed its ``sqrt``, the power stays whole
+      (``(x*sqrt(sqrt(y))^4)^2 -> (x*y)^2``).
 
-    Rewrites may extend the domain (e.g. ``cos(arccos(u)) -> u`` is defined
-    for all ``u``); on points where the input is defined the value is
-    preserved exactly up to floating-point evaluation order.  A tree at the
-    fixed point comes back as the same object.
+    Each node a rule makes is itself built through the rules, over operands
+    that have been through them, so the one pass reaches the fixed point: a
+    second pass would change nothing, and a simplified tree comes back as
+    the same object.  Rewrites may extend the domain (e.g.
+    ``cos(arccos(u)) -> u`` is defined for all ``u``); on points where the
+    input is defined the value is preserved exactly up to floating-point
+    evaluation order.
     """
-    current = expr
-    memo: _PassMemo = {}
     with np.errstate(all="ignore"):
-        for _ in range(_MAX_SIMPLIFY_PASSES):
-            rewritten = _simplify_pass(current, memo)
-            if rewritten is current:
-                return current
-            current = rewritten
-    return current
+        return _simplify_pass(expr, {})
 
 
-# A pass maps each node to the same result whenever it meets it, so one memo
-# serves every pass of a call: id(node) -> (node, result).  Holding the node
-# keeps its id from being reused while the memo lives.
+# A pass maps each node to the same result whenever it meets it, so a memo
+# serves the whole pass: id(node) -> (node, result).  Holding the node keeps
+# its id from being reused while the memo lives.
 _PassMemo = dict[int, tuple[Expr, Expr]]
 
 
@@ -779,8 +802,8 @@ def _rewrite_call(fn: str, arg: Expr, node: Call | None = None) -> Expr:
         if fn == "cos":
             return arg.arg
         if fn == "sin":
-            u = arg.arg
-            return Call("sqrt", BinOp("-", Const(1.0), BinOp("^", u, Const(2.0))))
+            square = _rewrite_binop("^", arg.arg, Const(2.0))
+            return _rewrite_call("sqrt", _rewrite_binop("-", Const(1.0), square))
     return node or Call(fn, arg)
 
 
@@ -792,6 +815,13 @@ def _rewrite_binop(
     lv = left.value if isinstance(left, Const) else None
     rv = right.value if isinstance(right, Const) else None
     if lv is not None and rv is not None:
+        # + - * fold as _checked would, without its table lookup: the same
+        # IEEE operation, and an overflow stays a node
+        if op == "+" or op == "-" or op == "*":
+            r = lv + rv if op == "+" else lv - rv if op == "-" else lv * rv
+            if abs(r) <= sys.float_info.max:
+                return Const(r)
+            return node or BinOp(op, left, right)
         node = node or BinOp(op, left, right)
         try:
             return Const(_checked(node, (lv, rv)))
@@ -833,8 +863,7 @@ def _rewrite_pow(
         n = int(n)
         # sqrt(u)^(2k) -> u^k
         if isinstance(base, Call) and base.fn == "sqrt" and n % 2 == 0:
-            k = n // 2
-            return base.arg if k == 1 else BinOp("^", base.arg, Const(float(k)))
+            return _rewrite_binop("^", base.arg, Const(float(n // 2)))
         # distribute integer powers over * and / to expose radicals
         if (
             isinstance(base, BinOp)
@@ -843,10 +872,10 @@ def _rewrite_pow(
             and _contains_sqrt(base)
         ):
             e = Const(float(n))
-            return BinOp(
+            return _rewrite_binop(
                 base.op,
-                BinOp("^", base.left, e),
-                BinOp("^", base.right, e),
+                _rewrite_binop("^", base.left, e),
+                _rewrite_binop("^", base.right, e),
             )
     return node or BinOp("^", base, exponent)
 

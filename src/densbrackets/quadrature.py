@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -237,6 +238,9 @@ class QuadSpec:
     evaluates each row's whole start partition), plus the first rounds of
     the integrals that start after the budget ran out.  A result is
     converged if every integral met its tolerance, budget or not.
+
+    The tolerances are real numbers and the counts integers (a numpy scalar
+    will do, a ``bool`` will not); they are stored as ``float`` and ``int``.
     """
 
     abs_tol: float = 1e-10
@@ -246,20 +250,30 @@ class QuadSpec:
 
     def __post_init__(self):
         # each message starts with the name of the field it is about
-        for name, ok, rule in (
-            ("abs_tol", lambda x: 0.0 < x < np.inf, "must be positive and finite"),
-            ("rel_tol", lambda x: 0.0 < x < np.inf, "must be positive and finite"),
-            ("max_subdivisions", lambda n: n >= 1, "must be >= 1"),
-            ("max_evals", lambda n: n is None or n >= 15,
+        positive = "must be positive and finite"
+        for name, kind, ok, rule in (
+            ("abs_tol", float, lambda x: 0.0 < x < np.inf, positive),
+            ("rel_tol", float, lambda x: 0.0 < x < np.inf, positive),
+            ("max_subdivisions", int, lambda n: n >= 1, "must be >= 1"),
+            ("max_evals", int, lambda n: n >= 15,
              "must allow at least one G7/K15 panel (15 evaluations)"),
         ):
             value = getattr(self, name)
+            if value is None and name == "max_evals":
+                continue  # no budget
+            if kind is float:
+                abc, what = numbers.Real, "a number"
+            else:
+                abc, what = numbers.Integral, "an integer"
+            if not isinstance(value, abc) or isinstance(value, bool):
+                raise QuadratureError(f"{name} must be {what}, got {value!r}")
             try:
-                bad = not ok(value)
-            except (TypeError, ValueError):  # None, text, a list: not comparable
-                bad, rule = True, "must be a number"
-            if bad:
+                stored = kind(value)
+            except OverflowError:  # an integer too large for a double
+                stored = math.inf
+            if not ok(stored):
                 raise QuadratureError(f"{name} {rule}, got {value!r}")
+            object.__setattr__(self, name, stored)
 
     def tightened(self, factor: float) -> "QuadSpec":
         """Both tolerances divided by ``factor``, floored at the smallest

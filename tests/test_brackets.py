@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import configparser
+import pathlib
 import random
 
 import pytest
 
 from densbrackets.brackets import BracketProblem, bracket, build_integrand
-from densbrackets.expressions import Const, parse
+from densbrackets.expressions import BinOp, Const, parse, simplify, to_text
 from densbrackets.geometry import (
     DOMAINS,
     GeometryError,
@@ -18,8 +20,10 @@ from densbrackets.geometry import (
 )
 from densbrackets.quadrature import QuadSpec
 
-from conftest import assert_value_equal
-from oracles import SPHERE_ROW3, SQUARE_ROW3, REPORTED_SPHERE_ROW3
+from conftest import assert_value_equal, random_expr
+from oracles import SPHERE_ROW3, SQUARE_ROW3, REPORTED_SPHERE_ROW3, raw_diff
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def _problem(domain, tau, rho, f, h, **kw) -> BracketProblem:
@@ -52,6 +56,59 @@ def test_integrand_hand_computed_jacobian():
     p = _problem(SQUARE, "1", "(3/2)*(x^2+y^2)", "x+y", "x^2-y^2")
     expected = parse("-2*(x+y)*(3/2)*(x^2+y^2)")
     assert_value_equal(build_integrand(p), expected, ("x", "y"), points=100)
+
+
+def _table_problems() -> list[BracketProblem]:
+    """The problem of every bracket row of the shipped configs."""
+    problems = []
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        config = configparser.RawConfigParser()
+        config.read(path)
+        for name in config.sections():
+            row = config[name]
+            if row.get("kind") == "bracket":
+                problems.append(
+                    BracketProblem(
+                        DOMAINS[row["domain"]],
+                        parse(row.get("tau", "1")),
+                        parse(row["rho"]),
+                        parse(row["f"]),
+                        parse(row["h"]),
+                    )
+                )
+    return problems
+
+
+def _textbook_integrand(p: BracketProblem) -> BinOp:
+    """J tau rho w with the raw textbook partials, before any rewrite."""
+    u, v = p.domain.coords
+    jacobian = BinOp(
+        "-",
+        BinOp("*", raw_diff(p.f, u), raw_diff(p.h, v)),
+        BinOp("*", raw_diff(p.f, v), raw_diff(p.h, u)),
+    )
+    return BinOp("*", BinOp("*", BinOp("*", jacobian, p.tau), p.rho), p.domain.weight)
+
+
+def test_the_built_integrand_is_the_simplified_textbook_product():
+    # one walk per function and a product built through the rewrite rules
+    # give the tree simplify makes of the textbook product, already at the
+    # fixed point
+    problems = _table_problems()
+    assert len(problems) >= 13
+    rng = random.Random(30)
+    for _ in range(400):
+        domain = rng.choice(list(DOMAINS.values()))
+        tau, rho, f, h = (
+            random_expr(rng, rng.randint(1, 4), domain.coords) for _ in range(4)
+        )
+        problems.append(BracketProblem(domain, tau, rho, f, h))
+    for p in problems:
+        built = build_integrand(p)
+        want = simplify(_textbook_integrand(p))
+        where = f"f = {to_text(p.f)}, h = {to_text(p.h)}"
+        assert built == want and repr(built) == repr(want), where
+        assert simplify(built) is built
 
 
 def test_integrand_rejects_foreign_variables():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densbrackets import expressions
 from densbrackets.expressions import (
     FUNCTIONS,
     BinOp,
@@ -28,6 +29,7 @@ from densbrackets.expressions import (
     free_vars,
     locate_domain_error,
     parse,
+    partials,
     simplify,
     substitute,
     to_text,
@@ -274,16 +276,27 @@ def test_diff_absent_variable_is_zero():
 
 
 def test_diff_simplifies_to_the_raw_derivative_fixed_point():
-    # diff builds through the rewrite rules; the fixed point is the one of
-    # the textbook tree, node for node and bit for bit
+    # diff builds through the rewrite rules: its tree is at the fixed point
+    # already, and it is the textbook tree's, node for node and bit for bit
     rng = random.Random(23)
     functions = TREE_FUNCTIONS + ("besseli1", "sign")
     for _ in range(300):
         e = random_expr(rng, rng.randint(2, 5), ("x", "y"), functions=functions)
         for variable in ("x", "y", "z"):
-            got = simplify(diff(e, variable))
+            got = diff(e, variable)
             want = simplify(raw_diff(e, variable))
             assert got == want and repr(got) == repr(want), to_text(e)
+            assert simplify(got) is got, to_text(e)
+
+
+def test_partials_are_the_diffs_in_one_walk():
+    rng = random.Random(31)
+    for _ in range(200):
+        e = random_expr(rng, rng.randint(1, 5), ("x", "y"))
+        got = partials(e, ("y", "x", "z"))
+        want = (diff(e, "y"), diff(e, "x"), diff(e, "z"))
+        assert got == want and repr(got) == repr(want), to_text(e)
+    assert partials(parse("x*y"), ()) == ()
 
 
 def _finite_difference_check(n_cases: int, seed: int) -> None:
@@ -405,6 +418,56 @@ def test_simplify_preserves_value_on_random_trees():
             continue
         assert abs(v - w) <= 1e-12 * (1.0 + abs(v))
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "text, fixed",
+    [
+        # an integer power spread over * and / meets a sqrt it removes
+        ("(x*sqrt(1 + y^2))^2", "x^2*(1 + y^2)"),
+        ("(x/sqrt(y))^4", "x^4/y^2"),
+        # sqrt(u)^(2k) -> u^k, where u^k is a power the rules rewrite again
+        ("sqrt(sqrt(x))^4", "x"),
+        ("sqrt(x*sqrt(y))^4", "x^2*y"),
+        ("sqrt(-4)^4", "16"),
+        # the base is spread only while it holds a sqrt after its rewrite
+        ("(x*sqrt(sqrt(y))^4)^2", "(x*y)^2"),
+        # sin(arccos(u)) -> sqrt(1 - u^2), with u^2 rewritten at once
+        ("sin(arccos(sqrt(x)))", "sqrt(1 - x)"),
+        ("sin(arccos(sqrt(x)))^2", "1 - x"),
+    ],
+)
+def test_one_pass_reaches_the_fixed_point(text, fixed):
+    once = expressions._simplify_pass(parse(text), {})
+    assert once == parse(fixed)
+    assert expressions._simplify_pass(once, {}) is once
+
+
+@pytest.mark.parametrize("op", "+-*")
+def test_folding_add_sub_mul_is_the_checked_step(op):
+    # the fold skips _checked's table lookup; it must keep its bits and its
+    # overflow rule, signed zeros and subnormals included
+    rng = random.Random(37)
+    special = [0.0, -0.0, 1.0, -3.0, 5e-324, -5e-324, 1e308, -1e308, 10.0, 2.0**-1074]
+    values = special + [rng.uniform(-1e3, 1e3) for _ in range(40)]
+    values += [
+        math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1023)) for _ in range(40)
+    ]
+    for a in values:
+        for b in values:
+            node = BinOp(op, Const(a), Const(b))
+            got = expressions._rewrite_binop(op, Const(a), Const(b))
+            try:
+                want = expressions._checked(node, (a, b))
+            except DomainError:
+                assert got == node, (a, b)
+                continue
+            assert isinstance(got, Const) and got.value.hex() == want.hex(), (a, b)
+    zero = expressions._rewrite_binop("*", Const(0.0), Const(-3.0))
+    assert zero.value.hex() == "-0x0.0p+0"
+    overflow = BinOp("*", Const(1e308), Const(10.0))
+    assert expressions._rewrite_binop("*", Const(1e308), Const(10.0)) == overflow
+    assert simplify(overflow) == overflow
 
 
 def test_simplify_returns_a_simplified_tree_itself():

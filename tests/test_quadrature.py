@@ -217,11 +217,32 @@ def test_spec_validation():
         ("rel_tol", [1]),
         ("max_subdivisions", None),
         ("max_evals", "x"),
+        ("abs_tol", np.array([1e-3])),  # not hashable either
+        ("abs_tol", True),
+        ("rel_tol", np.True_),
+        ("max_subdivisions", 2.5),
+        ("max_subdivisions", True),
+        ("max_subdivisions", 100.0),
+        ("max_evals", 15.5),
+        ("max_evals", np.float64(1000.0)),
     ],
 )
 def test_a_spec_field_that_is_not_a_number_is_a_typed_error(field, value):
-    with pytest.raises(QuadratureError, match=f"^{field} must be a number, got "):
+    kind = "a number" if field.endswith("_tol") else "an integer"
+    with pytest.raises(QuadratureError, match=f"^{field} must be {kind}, got "):
         QuadSpec(**{field: value})
+
+
+def test_spec_fields_are_stored_as_plain_numbers():
+    spec = QuadSpec(np.float32(0.5), 1, np.int64(7), np.int32(99))
+    fields = (spec.abs_tol, spec.rel_tol, spec.max_subdivisions, spec.max_evals)
+    assert fields == (0.5, 1.0, 7, 99)
+    assert [type(x) for x in fields] == [float, float, int, int]
+    with pytest.raises(QuadratureError, match="^abs_tol must be positive and finite"):
+        QuadSpec(abs_tol=10**400)
+    # the spec keys the start-rule cache, so it must hash
+    result = quadrature.integrate_2d(lambda x, y: x * y, ((0.0, 1.0), (0.0, 1.0)), spec)
+    assert result.value == pytest.approx(0.25)
 
 
 def test_tightened_tolerances_stop_at_the_smallest_double():
