@@ -15,9 +15,10 @@ is the integral of ``rho`` as given, run at ``abs_tol * m`` and divided by
 
 The integrand is built symbolically first: one derivative walk over ``f``
 and one over ``h`` give both partials of each (see
-:func:`densbrackets.expressions.partials`), and the product is built through
-simplify's rewrite rules as it goes, so it is simplified without a second
-pass.
+:func:`densbrackets.expressions.partials`), and
+:func:`densbrackets.expressions.combine` joins them and the other factors
+through simplify's rewrite rules, so the product is simplified without a
+second pass.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 # diff stays a name of this module, beside the partials that build the
 # integrand, so that benchmarks/tracing.py can wrap it as it wraps simplify
-from .expressions import Expr, _rewrite_binop, diff, partials, simplify  # noqa: F401
+from .expressions import Expr, combine, diff, partials, simplify  # noqa: F401
 from .geometry import (
     Domain,
     check_mass,
@@ -78,17 +79,15 @@ def build_integrand(problem: BracketProblem) -> Expr:
     Returns ``simplify((df/du dh/dv - df/dv dh/du) * tau * rho * weight)``
     using the problem's density as given: it is what :func:`bracket`
     integrates, normalized or not.  One walk over ``f`` and one over ``h``
-    give both partials of each, at simplify's fixed point, and the product
-    is built through the same rewrite rules, so it needs no second pass.
+    give both partials of each, at simplify's fixed point, and ``combine``
+    joins them through the same rewrite rules, so it needs no second pass.
     """
     problem.validate()
     coords = problem.domain.coords
     (fu, fv), (hu, hv) = partials(problem.f, coords), partials(problem.h, coords)
-    binop = _rewrite_binop
-    product = binop("-", binop("*", fu, hv), binop("*", fv, hu))
-    for factor in (problem.tau, problem.rho, problem.domain.weight):
-        product = binop("*", product, simplify(factor))
-    return product
+    jacobian = combine("-", combine("*", fu, hv), combine("*", fv, hu))
+    factors = (problem.tau, problem.rho, problem.domain.weight)
+    return combine("*", jacobian, *map(simplify, factors))
 
 
 def bracket(problem: BracketProblem, spec: QuadSpec | None = None) -> BracketResult:

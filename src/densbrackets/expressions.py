@@ -69,6 +69,7 @@ __all__ = [
     "partials",
     "substitute",
     "simplify",
+    "combine",
     "free_vars",
     "to_text",
     "compile_expr",
@@ -496,9 +497,12 @@ def partials(expr: Expr, variables: Sequence[str]) -> tuple[Expr, ...]:
 
     Every partial is built by the rules :func:`diff` applies, and the
     operands they share (each rewritten subtree, each call's outer
-    derivative) are built once for all of them.
+    derivative) are built once for all of them.  A repeated variable raises
+    ``ValueError``.
     """
     units = {x: tuple(_ONE if y == x else _ZERO for y in variables) for x in variables}
+    if len(units) != len(variables):
+        raise ValueError(f"partials by repeated variables: {tuple(variables)}")
     with np.errstate(all="ignore"):
         return _partials(expr, units, {})
 
@@ -716,6 +720,18 @@ def to_text(expr: Expr) -> str:
 _MAX_DISTRIBUTED_POWER = 64
 
 
+def combine(op: str, *operands: Expr) -> Expr:
+    """``simplify`` of ``operands`` joined left to right by ``op``
+    (``a op b op c``), for operands that are already simplified: the rules
+    run at the joints only, as they do where :func:`partials` builds.
+    """
+    out, *rest = operands
+    with np.errstate(all="ignore"):
+        for operand in rest:
+            out = _rewrite_binop(op, out, operand)
+    return out
+
+
 def simplify(expr: Expr) -> Expr:
     """Apply a fixed, terminating rewrite set; value-equal on the common domain.
 
@@ -723,8 +739,7 @@ def simplify(expr: Expr) -> Expr:
 
     * constant folding of operators and function calls with constant,
       in-domain arguments, by the checked step :func:`evaluate` runs
-      (``+``, ``-`` and ``*`` inline: the same float operation, and an
-      overflow stays symbolic; ``pi``/``e`` stay symbolic);
+      (``pi``/``e`` stay symbolic);
     * ``x*0 -> 0``, ``x*1 -> x``, ``x+0 -> x``, ``x-0 -> x``, ``x/1 -> x``,
       ``x^1 -> x``, ``x^0 -> 1`` (and mirrored variants);
     * ``cos(arccos(u)) -> u`` and ``sin(arccos(u)) -> sqrt(1 - u^2)``;
@@ -815,13 +830,6 @@ def _rewrite_binop(
     lv = left.value if isinstance(left, Const) else None
     rv = right.value if isinstance(right, Const) else None
     if lv is not None and rv is not None:
-        # + - * fold as _checked would, without its table lookup: the same
-        # IEEE operation, and an overflow stays a node
-        if op == "+" or op == "-" or op == "*":
-            r = lv + rv if op == "+" else lv - rv if op == "-" else lv * rv
-            if abs(r) <= sys.float_info.max:
-                return Const(r)
-            return node or BinOp(op, left, right)
         node = node or BinOp(op, left, right)
         try:
             return Const(_checked(node, (lv, rv)))
@@ -864,19 +872,23 @@ def _rewrite_pow(
         # sqrt(u)^(2k) -> u^k
         if isinstance(base, Call) and base.fn == "sqrt" and n % 2 == 0:
             return _rewrite_binop("^", base.arg, Const(float(n // 2)))
-        # distribute integer powers over * and / to expose radicals
-        if (
+        # distribute integer powers over * and / to expose radicals; down
+        # the left operands in a loop, so that a long product costs no depth
+        spine = []
+        while (
             isinstance(base, BinOp)
             and base.op in "*/"
             and n <= _MAX_DISTRIBUTED_POWER
             and _contains_sqrt(base)
         ):
+            spine.append(base)
+            base = base.left
+        if spine:
             e = Const(float(n))
-            return _rewrite_binop(
-                base.op,
-                _rewrite_binop("^", base.left, e),
-                _rewrite_binop("^", base.right, e),
-            )
+            out = _rewrite_binop("^", base, e)
+            for joint in reversed(spine):
+                out = _rewrite_binop(joint.op, out, _rewrite_binop("^", joint.right, e))
+            return out
     return node or BinOp("^", base, exponent)
 
 

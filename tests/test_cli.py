@@ -916,11 +916,19 @@ def test_too_deeply_nested_expression_is_a_typed_error(capsys, f):
 
 
 @pytest.mark.parametrize(
-    "f", ["sin(" * 160 + "x" + ")" * 160, " + ".join(["x"] * 900)], ids=["calls", "sum"]
+    "f",
+    [
+        "sin(" * 160 + "x" + ")" * 160,
+        " + ".join(["x"] * 900),
+        # diff squares the product, and the square is spread over its
+        # factors in a loop, a factor costing it no depth
+        "(sqrt(x)" + "*y" * 799 + ")^3",
+    ],
+    ids=["calls", "sum", "power of a product"],
 )
 def test_deep_expressions_within_the_limit_still_run(capsys, f):
     # pytest's own frames lower the limits: from the console script, 320
-    # nested calls and a 980-term sum also run
+    # nested calls, a 980-term sum and a cubed 980-factor product also run
     code, out, err = run_cli(capsys, *_bracket_of(f))
     assert code == 0 and err == ""
     assert json.loads(out)["converged"] is True

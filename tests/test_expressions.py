@@ -23,6 +23,7 @@ from densbrackets.expressions import (
     ParseError,
     UnboundVariableError,
     Var,
+    combine,
     compile_expr,
     diff,
     evaluate,
@@ -297,6 +298,9 @@ def test_partials_are_the_diffs_in_one_walk():
         want = (diff(e, "y"), diff(e, "x"), diff(e, "z"))
         assert got == want and repr(got) == repr(want), to_text(e)
     assert partials(parse("x*y"), ()) == ()
+    for variables in (("x", "x"), ("x", "y", "x")):
+        with pytest.raises(ValueError, match="repeated variables"):
+            partials(parse("x*y"), variables)
 
 
 def _finite_difference_check(n_cases: int, seed: int) -> None:
@@ -366,6 +370,12 @@ def test_simplify_constant_folding():
     assert simplify(parse("x^1")) == Var("x")
     assert simplify(parse("x*0")) == Const(0.0)
     assert simplify(parse("x/1")) == Var("x")
+    # by the checked step evaluate runs, bit for bit: a signed zero stays,
+    # and an overflow stays symbolic
+    assert simplify(BinOp("*", Const(0.0), Const(-3.0))).value.hex() == "-0x0.0p+0"
+    assert simplify(BinOp("-", Const(-0.0), Const(0.0))).value.hex() == "-0x0.0p+0"
+    overflow = BinOp("*", Const(1e308), Const(10.0))
+    assert simplify(overflow) == overflow
 
 
 def test_simplify_keeps_named_constants():
@@ -443,31 +453,17 @@ def test_one_pass_reaches_the_fixed_point(text, fixed):
     assert expressions._simplify_pass(once, {}) is once
 
 
-@pytest.mark.parametrize("op", "+-*")
-def test_folding_add_sub_mul_is_the_checked_step(op):
-    # the fold skips _checked's table lookup; it must keep its bits and its
-    # overflow rule, signed zeros and subnormals included
-    rng = random.Random(37)
-    special = [0.0, -0.0, 1.0, -3.0, 5e-324, -5e-324, 1e308, -1e308, 10.0, 2.0**-1074]
-    values = special + [rng.uniform(-1e3, 1e3) for _ in range(40)]
-    values += [
-        math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1023)) for _ in range(40)
-    ]
-    for a in values:
-        for b in values:
-            node = BinOp(op, Const(a), Const(b))
-            got = expressions._rewrite_binop(op, Const(a), Const(b))
-            try:
-                want = expressions._checked(node, (a, b))
-            except DomainError:
-                assert got == node, (a, b)
-                continue
-            assert isinstance(got, Const) and got.value.hex() == want.hex(), (a, b)
-    zero = expressions._rewrite_binop("*", Const(0.0), Const(-3.0))
-    assert zero.value.hex() == "-0x0.0p+0"
-    overflow = BinOp("*", Const(1e308), Const(10.0))
-    assert expressions._rewrite_binop("*", Const(1e308), Const(10.0)) == overflow
-    assert simplify(overflow) == overflow
+def test_combine_is_simplify_of_the_joined_tree():
+    rng = random.Random(41)
+    for _ in range(200):
+        operands = [simplify(random_expr(rng, 3, ("x", "y"))) for _ in range(3)]
+        for op in "+-*/^":
+            joined = BinOp(op, BinOp(op, operands[0], operands[1]), operands[2])
+            got = combine(op, *operands)
+            want = simplify(joined)
+            assert got == want and repr(got) == repr(want)
+            assert simplify(got) is got
+    assert combine("*", Var("x")) == Var("x")
 
 
 def test_simplify_returns_a_simplified_tree_itself():
