@@ -65,13 +65,7 @@ from .expressions import (
     substitute,
     to_text,
 )
-from .geometry import (
-    SPHERE,
-    GeometryError,
-    compiled_kernel,
-    require_domain_vars,
-    scaled_spec,
-)
+from .geometry import SPHERE, GeometryError, compiled_kernel, require_domain_vars
 from .quadrature import QuadResult, QuadSpec, integrate_2d, integrate_4d, to_float
 
 __all__ = [
@@ -177,7 +171,7 @@ def pullback_density(rho: Expr, flow: FlowMap) -> Expr:
 def _integrand_expr(problem: AreaProblem) -> Expr:
     pulled = pullback_density(problem.rho, problem.flow)
     if problem.weight_mode == "measure":
-        return simplify(BinOp("*", pulled, Call("sin", Var("theta"))))
+        return simplify(BinOp("*", pulled, SPHERE.weight))
     return pulled
 
 
@@ -257,7 +251,7 @@ def area(problem: AreaProblem, spec: QuadSpec | None = None) -> QuadResult:
         # names all four coordinates of a point of the patch
         variables, fixed = ("t", "s", "phi", "theta"), (0.5 * (t_lo + t_hi),)
         outer = (problem.s_interval,)
-        spec = scaled_spec(spec, width)
+        spec = spec.tightened(width, 1.0)
     else:
         width, variables, fixed = 1.0, _VARS, ()
         outer = (problem.s_interval, problem.t_interval)

@@ -28,15 +28,8 @@ from dataclasses import dataclass
 # diff stays a name of this module, beside the partials that build the
 # integrand, so that benchmarks/tracing.py can wrap it as it wraps simplify
 from .expressions import Expr, combine, diff, partials, simplify  # noqa: F401
-from .geometry import (
-    Domain,
-    check_mass,
-    compiled_kernel,
-    density_mass,
-    require_domain_vars,
-    scaled_spec,
-)
-from .quadrature import QuadSpec, integrate_2d
+from .geometry import Domain, check_mass, compiled_kernel, density_mass, require_domain_vars
+from .quadrature import QuadResult, QuadSpec, integrate_2d
 
 __all__ = ["BracketProblem", "BracketResult", "build_integrand", "bracket"]
 
@@ -58,18 +51,15 @@ class BracketProblem:
 
 
 @dataclass(frozen=True)
-class BracketResult:
-    """Quadrature outcome plus the normalization constant actually used.
+class BracketResult(QuadResult):
+    """The bracket's :class:`~densbrackets.quadrature.QuadResult` plus the
+    normalization constant actually used.
 
     ``normalization_constant`` is the computed mass of the input density
     (None when auto-normalization is off); ``n_evals`` includes the mass
-    integration.
+    integration.  The fields are the quadrature result's four, then this one.
     """
 
-    value: float
-    error_estimate: float
-    n_evals: int
-    converged: bool
     normalization_constant: float | None
 
 
@@ -103,7 +93,7 @@ def bracket(problem: BracketProblem, spec: QuadSpec | None = None) -> BracketRes
         mass = check_mass(problem.rho, density_mass(domain, problem.rho, spec))
         mass_evals = mass.n_evals
         norm_const = divisor = mass.value
-        spec = scaled_spec(spec, 1.0 / divisor)
+        spec = (spec or QuadSpec()).tightened(1.0 / divisor, 1.0)
 
     with compiled_kernel(integrand, domain.coords) as kernel:
         result = integrate_2d(kernel, domain.box, spec)

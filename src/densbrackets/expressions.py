@@ -276,13 +276,13 @@ def _parse_unary(rest: list) -> Expr:
         node = Const(value)
     elif name:
         if rest[-1][0] == "(":
-            if name not in _ALL_FUNCTIONS:
+            if name not in _CALLS:
                 raise _Unexpected(f"unknown function '{name}'", len(rest) + 1)
             rest.pop()
             node = Call(name, _parse_group(rest))
         elif name in _NAMED_VALUES:
             node = NamedConst(name)
-        elif name in _ALL_FUNCTIONS:
+        elif name in _CALLS:
             message = f"function '{name}' used without arguments"
             raise _Unexpected(message, len(rest) + 1)
         else:
@@ -368,11 +368,14 @@ _OPS: dict[str, tuple[Callable, Callable | None]] = {
     "besseli0": (_specials.besseli0_array, None),
     "besseli1": (_specials.besseli1_array, None),
 }
-# The parser accepts every function here: the grammar's, and those that only
-# differentiation produces (besseli1, sign), so that printed trees parse.
-_ALL_FUNCTIONS = frozenset(name for name in _OPS if name.isalnum())
+# The table split by node kind, so that a lookup also checks that a Call
+# names a function and a BinOp an operator.  The parser accepts every
+# function of _CALLS: the grammar's, and those that only differentiation
+# produces (besseli1, sign), so that printed trees parse.
+_CALLS = {name: entry for name, entry in _OPS.items() if name.isalnum()}
+_OPERATORS = {name: entry for name, entry in _OPS.items() if not name.isalnum()}
 # Functions available in the surface grammar.
-FUNCTIONS = tuple(n for n in _OPS if n.isalnum() and n not in ("sign", "besseli1"))
+FUNCTIONS = tuple(n for n in _CALLS if n not in ("sign", "besseli1"))
 
 
 def _checked(node: Call | BinOp, args: tuple) -> float:
@@ -381,7 +384,10 @@ def _checked(node: Call | BinOp, args: tuple) -> float:
     Raises :class:`DomainError` when a domain rule fails or the result is
     not finite.  Callers hold ``np.errstate(all="ignore")``.
     """
-    fn, rule = _OPS[node.fn if isinstance(node, Call) else node.op]
+    try:
+        fn, rule = _CALLS[node.fn] if isinstance(node, Call) else _OPERATORS[node.op]
+    except KeyError:
+        raise _unknown(node) from None
     fault = rule is not None and rule(*args)
     if fault:
         raise DomainError(fault[0], node, float(fault[1]))
@@ -390,6 +396,12 @@ def _checked(node: Call | BinOp, args: tuple) -> float:
         # a function reports its argument, an operator its result
         raise DomainError("overflow", node, float(args[0] if len(args) == 1 else r))
     return r
+
+
+def _unknown(node: Call | BinOp) -> TypeError:
+    """The error for a node whose function or operator the language lacks."""
+    kind, name = ("function", node.fn) if isinstance(node, Call) else ("operator", node.op)
+    return TypeError(f"unknown {kind} {name!r}")
 
 
 class _Program(NamedTuple):
@@ -443,7 +455,10 @@ def _lower(expr: Expr, variables: Sequence[str]) -> _Program:
                 init.append(value)
             else:
                 init.append(None)
-                steps.append((_OPS[key[0]][0], key[1], key[2], slot))
+                entry = (_CALLS if key[2] < 0 else _OPERATORS).get(key[0])
+                if entry is None:
+                    raise _unknown(node)
+                steps.append((entry[0], key[1], key[2], slot))
                 nodes.append(node)
         return slot
 
@@ -485,8 +500,12 @@ def diff(expr: Expr, variable: str) -> Expr:
     built through the rewrite rules of :func:`simplify`, over operands that
     have been through them once: the result is already at simplify's fixed
     point, node for node the tree ``simplify`` makes of the raw textbook
-    derivative.  Conventions: d|u|/du is ``sign(u)`` with ``sign(0) = 0``,
-    and d besseli0(u)/du = besseli1(u).
+    derivative, but for one rule: where the quotient rule's numerator
+    ``u'v - uv'`` simplifies to 0 and ``v^2`` is not a constant, the
+    derivative is 0, not ``0/v^2`` (simplify keeps ``0/v``: v may vanish).
+    Conventions: d|u|/du is ``sign(u)`` with ``sign(0) = 0``, and
+    d besseli0(u)/du = besseli1(u).  An unknown function or operator
+    raises :class:`TypeError`.
     """
     with np.errstate(all="ignore"):
         return _partials(expr, {variable: (_ONE,)}, {})[0]
@@ -537,7 +556,7 @@ def _partials(expr: Expr, units: dict[str, tuple], memo: _PassMemo) -> tuple:
             out.append(binop("*", outer, du))
         return tuple(out)
     pairs = zip(_partials(u, units, memo), _partials(v, units, memo))
-    if op in "+-":
+    if op == "+" or op == "-":
         for du, dv in pairs:
             out.append(binop(op, du, dv))
         return tuple(out)
@@ -549,13 +568,17 @@ def _partials(expr: Expr, units: dict[str, tuple], memo: _PassMemo) -> tuple:
         square = binop("^", sv, Const(2.0))
         for du, dv in pairs:
             numerator = binop("-", binop("*", du, sv), binop("*", su, dv))
-            out.append(binop("/", numerator, square))
-    else:
+            # 0/v^2 -> 0, as u*0 -> 0; a constant v^2 is left to the fold
+            zero = numerator == _ZERO and not isinstance(square, Const)
+            out.append(_ZERO if zero else binop("/", numerator, square))
+    elif op == "^":
         # general power: u^v (v' ln u + v u'/u)
         power, log = _simplify_pass(expr, memo), _rewrite_call("ln", su)
         for du, dv in pairs:
             quotient = binop("*", sv, binop("/", du, su))
             out.append(binop("*", power, binop("+", binop("*", dv, log), quotient)))
+    else:
+        raise _unknown(expr)
     return tuple(out)
 
 
@@ -624,20 +647,25 @@ def substitute(expr: Expr, variable: str, replacement: Expr) -> Expr:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def free_vars(expr: Expr) -> frozenset[str]:
-    """Exactly the variable identifiers occurring in the tree."""
-    out: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
+def _walk(expr: Expr) -> list[Expr]:
+    """Every node of the tree, breadth first, without recursion (a list: a
+    generator measured slower); a non-node raises :class:`TypeError`."""
+    nodes = [expr]
+    for node in nodes:  # the loop reads what it appends
+        if isinstance(node, BinOp):
+            nodes.append(node.left)
+            nodes.append(node.right)
         elif isinstance(node, Call):
-            stack.append(node.arg)
-        elif isinstance(node, BinOp):
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(out)
+            nodes.append(node.arg)
+        elif not isinstance(node, (Var, Const, NamedConst)):
+            raise TypeError(f"not an expression node: {node!r}")
+    return nodes
+
+
+def free_vars(expr: Expr) -> frozenset[str]:
+    """Exactly the variable identifiers occurring in the tree; anything in
+    it that is not a node raises :class:`TypeError`."""
+    return frozenset([node.name for node in _walk(expr) if isinstance(node, Var)])
 
 
 # Printing precedence levels; parenthesisation keeps round-trips value-exact.
@@ -682,9 +710,7 @@ def to_text(expr: Expr) -> str:
         if v < 0:
             return "-" + _format_const(-v)
         return _format_const(v)
-    if isinstance(expr, NamedConst):
-        return expr.name
-    if isinstance(expr, Var):
+    if isinstance(expr, (NamedConst, Var)):
         return expr.name
     if isinstance(expr, Call):
         return f"{expr.fn}({to_text(expr.arg)})"
@@ -792,17 +818,7 @@ def _simplify_pass(expr: Expr, memo: _PassMemo) -> Expr:
 
 
 def _contains_sqrt(expr: Expr) -> bool:
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Call):
-            if node.fn == "sqrt":
-                return True
-            stack.append(node.arg)
-        elif isinstance(node, BinOp):
-            stack.append(node.left)
-            stack.append(node.right)
-    return False
+    return any(isinstance(node, Call) and node.fn == "sqrt" for node in _walk(expr))
 
 
 def _rewrite_call(fn: str, arg: Expr, node: Call | None = None) -> Expr:

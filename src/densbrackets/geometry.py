@@ -30,9 +30,8 @@ sees only the quadrature nodes; a density negative between them passes.
 from __future__ import annotations
 
 import math
-import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -220,15 +219,6 @@ def check_mass(rho: Expr, mass: QuadResult) -> QuadResult:
             "positive and more than 10x its error estimate"
         )
     return mass
-
-
-def scaled_spec(spec: QuadSpec | None, factor: float) -> QuadSpec:
-    """``spec`` for an integral whose result will be multiplied by
-    ``factor``: ``abs_tol / factor``, kept between the smallest and the
-    largest positive double, so that the tolerance holds on the product."""
-    spec = QuadSpec() if spec is None else spec
-    abs_tol = min(max(spec.abs_tol / factor, math.ulp(0.0)), sys.float_info.max)
-    return replace(spec, abs_tol=abs_tol)
 
 
 def normalize(domain: Domain, rho: Expr, spec: QuadSpec | None = None) -> Density:

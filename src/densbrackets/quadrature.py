@@ -84,6 +84,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -222,9 +223,6 @@ _GK21 = _rule(
 )
 
 
-_EPS = float(np.finfo(float).eps)
-
-
 @dataclass(frozen=True)
 class QuadSpec:
     """Tolerances and budgets for one integration call.
@@ -275,14 +273,16 @@ class QuadSpec:
                 raise QuadratureError(f"{name} {rule}, got {value!r}")
             object.__setattr__(self, name, stored)
 
-    def tightened(self, factor: float) -> "QuadSpec":
-        """Both tolerances divided by ``factor``, floored at the smallest
-        positive double so that a tiny tolerance stays valid."""
-        return replace(
-            self,
-            abs_tol=max(self.abs_tol / factor, math.ulp(0.0)),
-            rel_tol=max(self.rel_tol / factor, math.ulp(0.0)),
-        )
+    def tightened(self, factor: float, rel_factor: float | None = None) -> "QuadSpec":
+        """``abs_tol / factor`` and ``rel_tol / rel_factor`` (by default
+        ``factor``), each kept between the smallest and the largest positive
+        double.  An integral whose result will be multiplied by c runs at
+        ``tightened(c, 1.0)``, so that ``abs_tol`` holds on the product."""
+        rel_factor = factor if rel_factor is None else rel_factor
+        tiny, huge = math.ulp(0.0), sys.float_info.max
+        abs_tol = min(max(self.abs_tol / factor, tiny), huge)
+        rel_tol = min(max(self.rel_tol / rel_factor, tiny), huge)
+        return replace(self, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 _DEFAULT_SPEC = QuadSpec()
@@ -381,13 +381,12 @@ def _nodes(edges: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 @functools.lru_cache(maxsize=64)
 def _panel(a: float, b: float, rows: int, rule: _Rule):
-    """``_nodes`` of the one panel [a, b] of each of ``rows`` rows: (edges
-    [rows, 2], nodes [rows, n], half-width).  Built on first use and shared,
-    read-only, by every integral that starts there."""
-    half = 0.5 * (b - a)
-    x = (half * rule.nodes + 0.5 * (a + b))[None].repeat(rows, 0)
+    """The one panel [a, b] of each of ``rows`` rows: its edges [rows, 2],
+    then its ``_nodes``.  Built on first use and shared, read-only, by every
+    integral that starts there."""
     edges = np.array([[a, b]] * rows)
-    edges.flags.writeable = x.flags.writeable = False
+    x, half = _nodes(edges, rule.nodes)
+    edges.flags.writeable = x.flags.writeable = half.flags.writeable = False
     return edges, x, half
 
 
@@ -566,13 +565,6 @@ def _start(
     panels = _blank(max(8, 2 * p), rows, k)
     panels[:p] = records
     index = np.arange(rows)
-    # Bisection keeps every panel d bisections below a start panel of width
-    # w at least w / 2**d - eps M wide, M = max(|a|, |b|), and a panel wider
-    # than 2 eps M is splittable: until round `narrowing`, counted from the
-    # narrowest start panel of any row, no panel can be too narrow to
-    # bisect, and the test for one is skipped.
-    narrowest = (edges[:, 1:] - edges[:, :-1]).min()
-    narrowing = p - 1 + math.log2(narrowest / (4 * _EPS * max(abs(a), abs(b)) + 1e-300))
     r = p - 1  # every live row i has split r - (p - P_i) times
 
     limit = spec.max_subdivisions
@@ -595,7 +587,7 @@ def _start(
         slot = np.where(top, panels[:, live, -2], np.inf).argmin(0)
         hi, lo = panels[slot, i, -3:-1].T
         edges = np.array((lo, 0.5 * (lo + hi), hi)).T
-        if r >= narrowing and not (edges[:, 1:] > edges[:, :-1]).all():
+        if not (edges[:, 1:] > edges[:, :-1]).all():
             narrow = (edges[:, 1:] <= edges[:, :-1]).any(1)
             panels[slot[narrow], i[narrow], -1] = -np.inf
             continue

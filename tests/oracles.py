@@ -5,7 +5,8 @@ mpmath 50-digit arithmetic (or the math module where exact), never from the
 package under test.  Frozen constants are reproduced by the functions below;
 a test in test_specials.py guards that correspondence.  :func:`raw_diff` is
 a reference differentiator over the package's tree nodes: the textbook rules
-applied literally, with no rewriting.  :func:`bessel_series_per_term` is the
+applied literally, with no rewriting but one, the zero quotient rule of
+``densbrackets.expressions.diff``.  :func:`bessel_series_per_term` is the
 package's I0/I1 array series with its stopping test after every term, the
 reference for the bits of the package's version, which tests less often.
 """
@@ -17,7 +18,7 @@ import math
 import mpmath
 import numpy as np
 
-from densbrackets.expressions import PI, BinOp, Call, Const, Expr, NamedConst, Var
+from densbrackets.expressions import PI, BinOp, Call, Const, Expr, NamedConst, Var, simplify
 
 mpmath.mp.dps = 50
 
@@ -209,9 +210,11 @@ def check_closed_forms() -> None:
 
 def raw_diff(expr: Expr, variable: str) -> Expr:
     """d expr / d variable as the raw tree of the sum, product, quotient,
-    power and chain rules, with no rewriting.  Conventions as in
+    power and chain rules, with no rewriting but one: a quotient whose raw
+    numerator u'v - uv' simplifies to 0, while v^2 does not simplify to a
+    constant, has derivative 0.  Conventions as in
     ``densbrackets.expressions.diff``: d|u|/du = sign(u), d besseli0 =
-    besseli1."""
+    besseli1, and that quotient rule."""
     if isinstance(expr, (Const, NamedConst)):
         return Const(0.0)
     if isinstance(expr, Var):
@@ -229,7 +232,10 @@ def raw_diff(expr: Expr, variable: str) -> Expr:
             return BinOp("+", BinOp("*", du, v), BinOp("*", u, dv))
         if op == "/":
             num_ = BinOp("-", BinOp("*", du, v), BinOp("*", u, dv))
-            return BinOp("/", num_, BinOp("^", v, Const(2.0)))
+            square = BinOp("^", v, Const(2.0))
+            if simplify(num_) == Const(0.0) and not isinstance(simplify(square), Const):
+                return Const(0.0)
+            return BinOp("/", num_, square)
         if op == "^":
             if isinstance(v, Const):
                 # power rule: n u^(n-1) u'

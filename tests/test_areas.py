@@ -489,6 +489,20 @@ def test_reduced_area_agrees_with_the_4d_core(mode, phi_map):
     assert reduced.n_evals < full.n_evals / 10
 
 
+def test_a_shift_by_a_quotient_is_recognised():
+    # d/dphi of t/(1 + theta) has the numerator 0*(1 + theta) - t*0, which
+    # simplifies to 0: diff gives 0, not 0/(1 + theta)^2, so phi_map is seen
+    # to be phi plus a shift, and the area integrates in 3-d
+    flow = FlowMap(theta_map=parse("arccos(theta + s)"), phi_map=parse("phi + t/(1 + theta)"))
+    problem = _gauss_problem("measure", flow)
+    assert _t_invariant(problem)
+    spec = QuadSpec(abs_tol=1e-3, rel_tol=1e-3)
+    reduced, full = area(problem, spec), _area_4d(problem, spec)
+    assert reduced.converged and full.converged
+    assert abs(reduced.value - full.value) <= reduced.error_estimate + full.error_estimate
+    assert reduced.n_evals < full.n_evals / 10
+
+
 @pytest.mark.parametrize(
     "rho, flow",
     [

@@ -5,11 +5,13 @@ from __future__ import annotations
 import configparser
 import pathlib
 import random
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from densbrackets.brackets import BracketProblem, bracket, build_integrand
-from densbrackets.expressions import BinOp, Const, parse, simplify, to_text
+from densbrackets.expressions import BinOp, Const, compile_expr, parse, simplify, to_text
 from densbrackets.geometry import (
     DOMAINS,
     GeometryError,
@@ -18,9 +20,9 @@ from densbrackets.geometry import (
     SQUARE,
     TORUS,
 )
-from densbrackets.quadrature import QuadSpec
+from densbrackets.quadrature import QuadResult, QuadSpec, integrate_2d
 
-from conftest import assert_value_equal, random_expr
+from conftest import SMOOTH_FUNCTIONS, assert_value_equal, random_expr
 from oracles import SPHERE_ROW3, SQUARE_ROW3, REPORTED_SPHERE_ROW3, raw_diff
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -93,7 +95,8 @@ def _textbook_integrand(p: BracketProblem) -> BinOp:
 def test_the_built_integrand_is_the_simplified_textbook_product():
     # one walk per function and a product built through the rewrite rules
     # give the tree simplify makes of the textbook product, already at the
-    # fixed point
+    # fixed point; both sides drop a quotient whose numerator simplifies
+    # to 0 (diff's contract, which raw_diff states on its own)
     problems = _table_problems()
     assert len(problems) >= 13
     rng = random.Random(30)
@@ -206,6 +209,16 @@ def test_the_tolerance_holds_on_the_normalized_bracket(c, n_evals):
     assert r.error_estimate <= max(spec.abs_tol, spec.rel_tol * abs(r.value))
 
 
+def test_a_bracket_result_is_a_quadrature_result_with_its_mass():
+    r = bracket(_problem(SQUARE, "1", "2", "x", "y"))
+    assert isinstance(r, QuadResult)
+    # the quadrature result's four fields, in order, then the mass
+    assert list(asdict(r).items()) == [
+        ("value", 1.0), ("error_estimate", 0.0), ("n_evals", 924), ("converged", True),
+        ("normalization_constant", 2.0),
+    ]
+
+
 def test_mass_lost_in_noise_raises():
     # integrates to 0: the computed mass is far below its error estimate
     with pytest.raises(NormalizationError):
@@ -316,3 +329,56 @@ def test_nonconstant_conformal_factor():
     # (1/4pi) int cos sin dtheta dphi = 0
     r = bracket(_problem(SPHERE, "cos(theta)", "1", "theta", "phi"))
     assert abs(r.value) <= 1e-10
+
+
+# -- tolerance census ----------------------------------------------------------------
+
+# QUADPACK's rounding floor, 50 eps times the integral of |f|: an error below
+# it is rounding, in the result or in the reference, which no estimate of the
+# rule's error is asked to cover.
+_ROUNDING = 50 * np.finfo(float).eps
+
+
+def _gauss_legendre(kernel, box, order: int) -> tuple[float, float]:
+    """(integral of the kernel, integral of its absolute value) over the box
+    by an order x order tensor Gauss-Legendre rule, in numpy alone."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    (a, b), (c, d) = box
+    u = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+    v = 0.5 * (c + d) + 0.5 * (d - c) * nodes
+    w = np.outer(weights, weights) * (0.25 * (b - a) * (d - c))
+    values = np.broadcast_to(kernel(u[:, None], v[None, :]), w.shape)
+    return float(np.sum(w * values)), float(np.sum(w * np.abs(values)))
+
+
+def test_converged_2d_integrals_are_within_their_tolerance_and_estimate():
+    # the mass and the bracket kernel of every table row and of 250 seeded
+    # smooth problems, each integrated by integrate_2d at the default spec,
+    # as the stream's 4,032 integrals were; the truth is a tensor
+    # Gauss-Legendre rule of order 64, and a kernel on which order 48
+    # differs from it by more than 1e-13 is skipped as not resolved
+    rng = random.Random(15)
+    problems = _table_problems()
+    for _ in range(250):
+        domain = rng.choice(list(DOMAINS.values()))
+        tau, rho, f, h = (
+            random_expr(rng, rng.randint(1, 3), domain.coords, SMOOTH_FUNCTIONS, gentle=True)
+            for _ in range(4)
+        )
+        problems.append(BracketProblem(domain, tau, rho, f, h))
+    spec, checked = QuadSpec(), 0
+    for p in problems:
+        mass = simplify(BinOp("*", p.rho, p.domain.weight))
+        for integrand in (mass, build_integrand(p)):
+            kernel = compile_expr(integrand, p.domain.coords)
+            result = integrate_2d(kernel, p.domain.box, spec)
+            coarse, _ = _gauss_legendre(kernel, p.domain.box, 48)
+            truth, resabs = _gauss_legendre(kernel, p.domain.box, 64)
+            if abs(coarse - truth) > 1e-13 or not result.converged:
+                continue
+            error, floor = abs(result.value - truth), _ROUNDING * resabs
+            where = f"'{to_text(integrand)}' on the {p.domain.name}: {result}, truth {truth!r}"
+            assert error <= max(spec.abs_tol, spec.rel_tol * abs(result.value)) + floor, where
+            assert error <= result.error_estimate + floor, where
+            checked += 1
+    assert checked >= 420

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -278,7 +279,8 @@ def test_diff_absent_variable_is_zero():
 
 def test_diff_simplifies_to_the_raw_derivative_fixed_point():
     # diff builds through the rewrite rules: its tree is at the fixed point
-    # already, and it is the textbook tree's, node for node and bit for bit
+    # already, and it is the textbook tree's, node for node and bit for bit,
+    # where both give 0 for a quotient whose numerator simplifies to 0
     rng = random.Random(23)
     functions = TREE_FUNCTIONS + ("besseli1", "sign")
     for _ in range(300):
@@ -288,6 +290,48 @@ def test_diff_simplifies_to_the_raw_derivative_fixed_point():
             want = simplify(raw_diff(e, variable))
             assert got == want and repr(got) == repr(want), to_text(e)
             assert simplify(got) is got, to_text(e)
+
+
+def test_a_quotient_whose_numerator_simplifies_to_zero_has_derivative_zero():
+    # 0*(1 + theta) - t*0 folds to 0: no dead 0/(1 + theta)^2 is left
+    assert diff(parse("t/(1 + theta)"), "phi") == Const(0.0)
+    assert diff(parse("(x - x)/y"), "x") == Const(0.0)
+    # a constant v^2 leaves the quotient to the constant fold, which keeps
+    # the undefined 0/0 of a division by zero
+    d = diff(parse("x/0"), "x")
+    assert d == BinOp("/", Const(0.0), Const(0.0))
+    with pytest.raises(DomainError, match="division-by-zero"):
+        evaluate(d, {"x": 1.0})
+
+
+# Nodes whose function or operator the language lacks, built around an
+# operand; a Call that names an operator and a BinOp that names a function
+# are among them.
+_FOREIGN_NODES = {
+    "foo": lambda a: Call("foo", a),
+    "%": lambda a: BinOp("%", a, Const(1.0)),
+    "": lambda a: BinOp("", a, Const(1.0)),
+    "+-": lambda a: BinOp("+-", a, Const(1.0)),
+    "+": lambda a: Call("+", a),
+    "sin": lambda a: BinOp("sin", a, Const(1.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_FOREIGN_NODES), ids=repr)
+@pytest.mark.parametrize(
+    "walker",
+    [
+        lambda build: simplify(build(Const(2.0))),  # folds through _checked
+        lambda build: evaluate(build(Var("x")), {"x": 2.0}),
+        lambda build: compile_expr(build(Var("x")), ("x",)),
+        lambda build: diff(build(Var("x")), "x"),
+        lambda build: partials(build(Var("x")), ("x", "y")),
+    ],
+    ids=["simplify", "evaluate", "compile_expr", "diff", "partials"],
+)
+def test_an_operator_the_language_lacks_is_a_type_error(walker, name):
+    with pytest.raises(TypeError, match=rf"^unknown (function|operator) {re.escape(repr(name))}$"):
+        walker(_FOREIGN_NODES[name])
 
 
 def test_partials_are_the_diffs_in_one_walk():
@@ -498,6 +542,13 @@ def test_free_vars():
     assert free_vars(parse("sin(theta)*rho0")) == {"theta", "rho0"}
     assert free_vars(parse("pi")) == frozenset()
     assert free_vars(parse("x + x*y")) == {"x", "y"}
+
+
+def test_free_vars_of_something_that_is_not_a_node_is_a_type_error():
+    # as every other walk does; a float is not a Const
+    for tree in (BinOp("+", Var("x"), 1.0), Call("sin", "x"), "x"):
+        with pytest.raises(TypeError, match="^not an expression node: "):
+            free_vars(tree)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -249,6 +250,17 @@ def test_tightened_tolerances_stop_at_the_smallest_double():
     spec = QuadSpec(abs_tol=5e-324, rel_tol=1e-3).tightened(1000.0)
     assert spec.abs_tol == 5e-324 and spec.rel_tol == 1e-3 / 1000.0
     assert QuadSpec(abs_tol=1e-300).tightened(10.0).abs_tol == 1e-300 / 10.0
+
+
+def test_a_rescaled_tolerance_stays_between_the_smallest_and_the_largest_double():
+    # one clamp rule for every rescaling: each tolerance by its own factor
+    spec = QuadSpec(abs_tol=1e-3, rel_tol=1e-6)
+    assert spec.tightened(4.0, 2.0) == replace(spec, abs_tol=1e-3 / 4.0, rel_tol=1e-6 / 2.0)
+    assert spec.tightened(0.5, 1.0) == replace(spec, abs_tol=2e-3)
+    huge = QuadSpec(abs_tol=1e300).tightened(1e-300, 1.0)
+    assert huge.abs_tol == sys.float_info.max and huge.rel_tol == QuadSpec().rel_tol
+    tiny = QuadSpec(rel_tol=1e-300).tightened(1.0, 1e300)
+    assert tiny.rel_tol == 5e-324 and tiny.abs_tol == QuadSpec().abs_tol
 
 
 @pytest.mark.parametrize(
